@@ -162,7 +162,9 @@ class Tensor:
         out = Tensor(value)
         if self.needs:
             out.needs, out._prev = True, (self,)
-            out._backward = lambda g, a=self, o=out: a._acc(g * dfn(a.data, o.data))
+            # the closure holds the output array, not the node: a node that its
+            # own closure references is a cycle only the collector can free
+            out._backward = lambda g, a=self, y=out.data: a._acc(g * dfn(a.data, y))
         return out
 
     def tanh(self):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobi import eigh_jacobi
 from .magnus import TimeGrid
 
 DEGENERACY_TOL = 1e-10
@@ -34,16 +33,27 @@ class ExtremalPair:
         return self.val_max - self.val_min
 
 
+def _phased(vec: np.ndarray) -> np.ndarray:
+    """Copy of a unit vector with its largest-magnitude component (lowest
+    index on ties) made exactly real and positive, so the eigenvector is
+    reproducible bit-for-bit across runs of the same build."""
+    idx = int(np.argmax(np.abs(vec)))
+    mag = abs(vec[idx])
+    out = vec * (np.conj(vec[idx]) / mag)
+    out[idx] = mag
+    return out
+
+
 def extremal_pair(mat: np.ndarray, tol: float = DEGENERACY_TOL) -> ExtremalPair:
-    vals, vecs = eigh_jacobi(mat)
+    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=np.complex128))
     degenerate = bool(
         (vals[1] - vals[0] < tol) or (vals[-1] - vals[-2] < tol)
     ) if len(vals) > 1 else True
     return ExtremalPair(
         val_min=float(vals[0]),
         val_max=float(vals[-1]),
-        vec_min=vecs[:, 0].copy(),
-        vec_max=vecs[:, -1].copy(),
+        vec_min=_phased(vecs[:, 0]),
+        vec_max=_phased(vecs[:, -1]),
         degenerate=degenerate,
     )
 
@@ -81,16 +91,12 @@ def qfi_central_diff(evolve, omega: float, delta_omega: float):
 
 def gap_series(dh_samples: np.ndarray) -> np.ndarray:
     """Extremal eigenvalue gap of the sensitivity operator at every grid time."""
-    gaps = np.empty(dh_samples.shape[0])
-    for j, mat in enumerate(dh_samples):
-        vals, _ = eigh_jacobi(mat)
-        gaps[j] = vals[-1] - vals[0]
-    return gaps
+    vals = np.linalg.eigvalsh(dh_samples)
+    return vals[:, -1] - vals[:, 0]
 
 
-def qfi_max_bound(dh_samples: np.ndarray, grid: TimeGrid) -> float:
+def qfi_max_bound(gaps: np.ndarray, grid: TimeGrid) -> float:
     """Squared time-integrated spectral gap, trapezoid rule on the grid."""
-    gaps = gap_series(dh_samples)
     return float(np.trapezoid(gaps, dx=grid.dt) ** 2)
 
 

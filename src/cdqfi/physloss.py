@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor
 
-DOMAIN_TOL = 1e-2
+DOMAIN_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,33 @@ def causality_weights(per_time_losses: np.ndarray, eps_t: float) -> np.ndarray:
     return np.exp(-eps_t * exclusive_prefix)
 
 
-def total_loss(per_time: Tensor, weights: np.ndarray) -> Tensor:
-    """Causality-weighted mean over the grid: (1/N_t) sum_n w(t_n) L(t_n)."""
-    if per_time.shape != weights.shape:
+def total_loss(el_rows: Tensor, reg_rows, terms, w: LossWeights, weights=None):
+    """Causality-weighted mean over the grid: (1/N_t) sum_n w(t_n) L(t_n).
+
+    L = w_el EL + w_reg REG (one row fewer) + the weighted tensor `terms` of
+    `terminal_losses` at the last point; `reg_rows` and `terms` may be None.
+    Weights default to those of this call's L.  Returns (total, weights).
+    """
+    n_t = el_rows.shape[0]
+    terminal = None
+    if terms is not None:
+        eta_term, phase_term, balance_term = terms
+        terminal = eta_term * w.w_eta + phase_term * w.w_phase + balance_term * w.w_balance
+    if weights is None:
+        per_time = w.w_el * el_rows.data
+        if reg_rows is not None:
+            per_time[: n_t - 1] += w.w_reg * reg_rows.data
+        if terminal is not None:
+            per_time[n_t - 1] += float(terminal.data)
+        weights = causality_weights(per_time, w.eps_t)
+    elif weights.shape != el_rows.shape:
         raise ValueError("per-time losses and weights differ in length")
-    return (per_time * weights).mean()
+    total = (el_rows * (w.w_el * weights)).sum()
+    if reg_rows is not None:
+        total = total + (reg_rows * (w.w_reg * weights[: n_t - 1])).sum()
+    if terminal is not None:
+        total = total + terminal * float(weights[n_t - 1])
+    return total * (1.0 / n_t), weights
 
 
 @dataclass

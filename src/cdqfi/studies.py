@@ -16,11 +16,17 @@ from .magnus import (
     evolve_windowed,
     truncation_error_bound,
 )
-from .metrics import qfi_from_states
+from .metrics import qfi_from_states, qfi_max_bound
 from .network import AdamState, init_params
 from .pauli import build_basis
 from .schedule import reference_schedule
-from .trainer import build_context, loss_and_grads, protocol_rows
+from .trainer import (
+    build_context,
+    dense_rows,
+    hamiltonian_rows,
+    loss_and_grads,
+    protocol_rows,
+)
 
 
 @dataclass
@@ -59,12 +65,10 @@ def magnus_study(
 
     h_dense = {}
     for omega in ctx.omegas:
-        rows = ctx.init_row[None, :] + lam[:, None] * ctx.dctrl_rows[omega]
-        rows = rows + dlam[:, None] * a_rows
-        h_dense[omega] = (rows @ stack).reshape(grid.n_t, dim, dim)
+        _, rows = hamiltonian_rows(ctx, omega, lam[:, None], dlam[:, None], a_rows)
+        h_dense[omega] = dense_rows(rows, stack, dim)
 
-    gaps = lam * ctx.gap_direction
-    f_q_max = float(np.trapezoid(gaps, dx=grid.dt) ** 2)
+    f_q_max = qfi_max_bound(lam * ctx.gap_direction, grid)
     seq = {w: evolve_sequential(ctx.psi0, h_dense[w], grid) for w in ctx.omegas}
     w0, wp, wm = ctx.omegas
     dw = config.delta_omega

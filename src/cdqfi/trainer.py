@@ -29,6 +29,7 @@ from .metrics import (
     fidelity_block,
     gap_series,
     qfi_from_states,
+    qfi_max_bound,
     qfi_via_generator,
     schrodinger_residual,
     symmetry_mismatch,
@@ -46,7 +47,13 @@ from .network import (
     init_params,
 )
 from .pauli import build_basis, build_commutator_table
-from .physloss import LossBreakdown, causality_weights
+from .physloss import (
+    LossBreakdown,
+    el_loss_rows,
+    regularizer_rows,
+    terminal_losses,
+    total_loss,
+)
 from .schedule import learned_schedule, reference_schedule
 
 
@@ -88,7 +95,7 @@ def _h_support_indices(basis, spec) -> np.ndarray:
     return support
 
 
-def probe_state(config: RunConfig, basis, grid: TimeGrid):
+def probe_state(config: RunConfig, basis, grid: TimeGrid, stack: np.ndarray):
     """Initial probe per policy; the extremal policy reads the sensitivity
     direction at the first strictly positive grid time (the operator vanishes
     at t = 0), whose eigenvectors are schedule-independent."""
@@ -96,10 +103,8 @@ def probe_state(config: RunConfig, basis, grid: TimeGrid):
     dim = 2**spec.q
     if config.initial_state == "plus-product":
         return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128), None
-    stack = basis.dense_stack().reshape(basis.size, dim * dim)
     row = sensitivity_direction_rows(spec, basis, grid.times[1])[0]
-    direction = (row @ stack).reshape(dim, dim)
-    pair = extremal_pair(direction)
+    pair = extremal_pair(dense_rows(row, stack, dim)[0])
     psi0 = (pair.vec_min + pair.vec_max) / np.sqrt(2.0)
     return psi0, pair
 
@@ -133,9 +138,9 @@ def build_context(config: RunConfig) -> TrainingContext:
             reg_raw.ii, reg_raw.jj, reg_raw.kk, reg_raw.w_imag,
             basis.size, basis.size,
         )
-    psi0, probe_pair = probe_state(config, basis, grid)
+    psi0, probe_pair = probe_state(config, basis, grid, stack)
     direction_rows = sensitivity_direction_rows(spec, basis, grid.times)
-    direction_dense = (direction_rows @ stack).reshape(grid.n_t, dim, dim)
+    direction_dense = dense_rows(direction_rows, stack, dim)
     gap_direction = gap_series(direction_dense)
     pair_terminal = extremal_pair(direction_dense[-1])
     return TrainingContext(
@@ -157,6 +162,20 @@ def build_context(config: RunConfig) -> TrainingContext:
         probe_pair=probe_pair,
         dim=dim,
     )
+
+
+def hamiltonian_rows(ctx: TrainingContext, omega: float, lam_col, dlam_col, a_rows):
+    """Control rows init + lam (final(omega) - init) and total rows control + dlam A
+    from (n_t, 1) schedule columns and (n_t, M) rows, numpy or on the tape."""
+    # the schedule leads: an ndarray left operand would broadcast over a Tensor
+    ctrl = lam_col * ctx.dctrl_rows[omega] + ctx.init_row
+    return ctrl, ctrl + dlam_col * a_rows
+
+
+def dense_rows(rows: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
+    """Dense (n, d, d) operators from concrete coefficient rows and the
+    (M, d*d) complex basis stack."""
+    return (rows @ stack).reshape(-1, dim, dim)
 
 
 def _dense_ct(ctx: TrainingContext, rows: Tensor) -> CTensor:
@@ -205,25 +224,24 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
     dlam_col = dlam.reshape(n_t, 1)
 
     omega_c = cfg.model.omega
-    dctrl_c = Tensor.const(ctx.dctrl_rows[omega_c])
-    init_c = Tensor.const(ctx.init_row)
-    h_ctrl = init_c + lam_col * dctrl_c
+    h_ctrl, h_tot = hamiltonian_rows(ctx, omega_c, lam_col, dlam_col, a_rows)
 
     # stationarity residual in coefficient space, all-real contraction chain
     c_hat = ctx.el_table(a_rows, h_ctrl)
-    q_hat = dctrl_c - c_hat
-    r_hat = ctx.el_table(q_hat, h_ctrl)
-    el_rows = (r_hat * r_hat).mean(axis=1)  # (n_t,)
+    q_hat = Tensor.const(ctx.dctrl_rows[omega_c]) - c_hat
+    el_rows = el_loss_rows(ctx.el_table(q_hat, h_ctrl))  # (n_t,)
 
-    h_tot = h_ctrl + dlam_col * a_rows
+    if frozen is None:
+        f_q_max = qfi_max_bound(lam.data * ctx.gap_direction, ctx.grid)
+    else:
+        f_q_max = frozen["f_q_max"]
     reg_rows = None
     if w.w_reg != 0.0 and ctx.reg_table is not None:
-        comm_rows = ctx.reg_table(h_tot[1:], h_tot[: n_t - 1])
-        reg_rows = (comm_rows * comm_rows).mean(axis=1)  # (n_t - 1,)
+        reg_rows = regularizer_rows(ctx.reg_table(h_tot[1:], h_tot[: n_t - 1]))
 
     terminal_active = (w.w_eta != 0.0) or (w.w_balance != 0.0) or (w.w_phase != 0.0)
     eta_val = None
-    eta_term = phase_term = bal_term = None
+    terms = None
     if terminal_active:
         psis = {}
         psi0_ct = CTensor.const(ctx.psi0[:, None])
@@ -231,18 +249,12 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
             if omega == omega_c:
                 rows = h_tot
             else:
-                rows = (init_c + lam_col * Tensor.const(ctx.dctrl_rows[omega])) \
-                    + dlam_col * a_rows
+                _, rows = hamiltonian_rows(ctx, omega, lam_col, dlam_col, a_rows)
             h_ct = _dense_ct(ctx, rows)
             psis[omega], _ = evolve_windowed(psi0_ct, h_ct, ctx.grid, ctx.plan, cfg.order)
         w0, wp, wm = ctx.omegas
         dpsi = (psis[wp] - psis[wm]) * (1.0 / (2.0 * cfg.delta_omega))
         fq = (vdot(dpsi, dpsi).re - vdot(psis[w0], dpsi).abs2()) * 4.0
-        if frozen is None:
-            gaps = lam.data * ctx.gap_direction
-            f_q_max = float(np.trapezoid(gaps, dx=ctx.grid.dt) ** 2)
-        else:
-            f_q_max = frozen["f_q_max"]
         if f_q_max <= 1e-30:
             raise ValueError("degenerate protocol: vanishing sensitivity bound")
         eta = fq * (1.0 / f_q_max)
@@ -254,48 +266,18 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
         cross = (p_min * p_max + 1e-24).sqrt()
         cos_dphi = (c_max.re * c_min.re + c_max.im * c_min.im) / cross
         eta_val = float(eta.data)
-        if not (-0.05 <= eta_val <= 1.05):
-            raise ValueError(f"eta={eta_val:.4g} escaped its domain; dynamics broken")
-        eta_term = (1.0 - eta) ** 2
-        phase_term = (1.0 - cos_dphi) ** 2
-        bal_term = (1.0 - balance) ** 2
-    else:
-        f_q_max = frozen["f_q_max"] if frozen else 0.0
+        terms = terminal_losses(eta, cos_dphi, balance)
 
-    # causality weights from this epoch's concrete values (constants in backward)
-    if frozen is None:
-        per_np = w.w_el * el_rows.data.copy()
-        if reg_rows is not None:
-            per_np[: n_t - 1] += w.w_reg * reg_rows.data
-        if terminal_active:
-            per_np[n_t - 1] += (
-                w.w_eta * float(eta_term.data)
-                + w.w_phase * float(phase_term.data)
-                + w.w_balance * float(bal_term.data)
-            )
-        weights = causality_weights(per_np, w.eps_t)
-        frozen_out = {"weights": weights, "f_q_max": f_q_max}
-    else:
-        weights = frozen["weights"]
-        frozen_out = frozen
-
-    total = (el_rows * (w.w_el * weights)).sum()
-    if reg_rows is not None:
-        total = total + (reg_rows * (w.w_reg * weights[: n_t - 1])).sum()
-    if terminal_active:
-        terminal_sum = (
-            eta_term * w.w_eta + phase_term * w.w_phase + bal_term * w.w_balance
-        )
-        total = total + terminal_sum * float(weights[n_t - 1])
-    total = total * (1.0 / n_t)
+    total, weights = total_loss(
+        el_rows, reg_rows, terms, w, None if frozen is None else frozen["weights"]
+    )
+    frozen_out = {"weights": weights, "f_q_max": f_q_max} if frozen is None else frozen
 
     breakdown = LossBreakdown(
-        el=float(el_rows.data.mean()),
-        reg=float(reg_rows.data.mean()) if reg_rows is not None else 0.0,
-        eta_term=float(eta_term.data) if terminal_active else 0.0,
-        phase_term=float(phase_term.data) if terminal_active else 0.0,
-        balance_term=float(bal_term.data) if terminal_active else 0.0,
-        total=float(total.data),
+        float(el_rows.data.mean()),
+        float(reg_rows.data.mean()) if reg_rows is not None else 0.0,
+        *([float(t.data) for t in terms] if terms is not None else [0.0] * 3),
+        float(total.data),
     )
     return EpochResult(total, leaves, breakdown, frozen_out, lam.data.copy(), eta_val)
 
@@ -453,30 +435,15 @@ def evaluate_protocol(
     if ctx is None:
         ctx = build_context(config)
     grid, dim = ctx.grid, ctx.dim
-    n_t = grid.n_t
     lam, dlam, a_rows = protocol_rows(config, params, ctx)
-    stack = (ctx.stack_re + 1j * ctx.stack_im)
-
-    def dense_rows(rows):
-        return (rows @ stack).reshape(n_t, dim, dim)
-
-    h_tot_rows = {}
-    for omega in ctx.omegas:
-        ctrl = ctx.init_row[None, :] + lam[:, None] * ctx.dctrl_rows[omega]
-        h_tot_rows[omega] = ctrl + dlam[:, None] * a_rows
-    h_tot_dense = {w: dense_rows(rows) for w, rows in h_tot_rows.items()}
+    stack = ctx.stack_re + 1j * ctx.stack_im
     omega_c = config.model.omega
 
-    spec = config.model
-    sens_rows = lam[:, None] * sensitivity_direction_rows(spec, ctx.basis, grid.times)
-    sens_dense = dense_rows(sens_rows)
-    ctrl_dense = dense_rows(ctx.init_row[None, :] + lam[:, None] * ctx.dctrl_rows[omega_c])
-
-    # windowed and sequential evolutions at the three frequencies
-    psi_win, psi_seq = {}, {}
-    props_central = None
-    seq_central = None
+    # total Hamiltonians, windowed and sequential evolutions at the three frequencies
+    h_tot_dense, psi_win, psi_seq = {}, {}, {}
     for omega in ctx.omegas:
+        ctrl, rows = hamiltonian_rows(ctx, omega, lam[:, None], dlam[:, None], a_rows)
+        h_tot_dense[omega] = dense_rows(rows, stack, dim)
         psi_col, props = evolve_windowed(
             ctx.psi0[:, None], h_tot_dense[omega], grid, ctx.plan, config.order
         )
@@ -486,15 +453,19 @@ def evaluate_protocol(
         )
         psi_seq[omega] = seq.psi_final
         if omega == omega_c:
+            ctrl_dense = dense_rows(ctrl, stack, dim)
             props_central = props
             seq_central = seq
+
+    spec = config.model
+    sens_rows = lam[:, None] * sensitivity_direction_rows(spec, ctx.basis, grid.times)
+    sens_dense = dense_rows(sens_rows, stack, dim)
 
     w0, wp, wm = ctx.omegas
     dw = config.delta_omega
     f_q_seq = qfi_from_states(psi_seq[w0], psi_seq[wp], psi_seq[wm], dw)
     f_q_win = qfi_from_states(psi_win[w0], psi_win[wp], psi_win[wm], dw)
-    gaps = lam * ctx.gap_direction
-    f_q_max = float(np.trapezoid(gaps, dx=grid.dt) ** 2)
+    f_q_max = qfi_max_bound(lam * ctx.gap_direction, grid)
     eta_defined = f_q_max > 1e-30
     eta_seq = f_q_seq / f_q_max if eta_defined else None
     eta_win = f_q_win / f_q_max if eta_defined else None
@@ -522,7 +493,7 @@ def evaluate_protocol(
         h_samples=h_tot_dense[omega_c],
     )
 
-    pairs = [extremal_pair(sens_dense[j]) for j in range(n_t)]
+    pairs = [extremal_pair(mat) for mat in sens_dense]
     p_ext = extremal_subspace_trace(seq_central.states, pairs)
     sx = sx_operator(spec.q)
     report = MetricsReport(

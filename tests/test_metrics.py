@@ -34,11 +34,15 @@ def random_pair(dim, rng):
     return ExtremalPair(-1.0, 1.0, q[:, 0], q[:, 1], False)
 
 
+def random_hermitian(n, rng):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (m + m.conj().T) / 2
+
+
 class TestExtremalPair:
     def test_orthonormal_and_ordered(self):
         rng = np.random.default_rng(0)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = (m + m.conj().T) / 2
+        m = random_hermitian(6, rng)
         pair = extremal_pair(m)
         assert pair.val_min <= pair.val_max
         np.testing.assert_allclose(np.linalg.norm(pair.vec_min), 1.0, atol=1e-12)
@@ -47,8 +51,95 @@ class TestExtremalPair:
         )
         assert not pair.degenerate
 
+    def test_ascending_order(self):
+        # the pair takes the bottom and the top of the ascending spectrum
+        m = random_hermitian(12, np.random.default_rng(5))
+        pair = extremal_pair(m)
+        vals = np.linalg.eigvalsh(m)
+        assert pair.val_min <= pair.val_max
+        assert np.all(vals >= pair.val_min - 1e-14)
+        assert np.all(vals <= pair.val_max + 1e-14)
+        assert gap_series(m[None])[0] >= 0.0
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_eigenpairs_satisfy_definition(self, n):
+        m = random_hermitian(n, np.random.default_rng(100 + n))
+        pair = extremal_pair(m)
+        vals = np.linalg.eigvalsh(m)
+        assert (pair.val_min, pair.val_max) == pytest.approx(
+            (vals[0], vals[-1]), abs=1e-12 * n
+        )
+        for val, vec in ((pair.val_min, pair.vec_min), (pair.val_max, pair.vec_max)):
+            np.testing.assert_allclose(m @ vec, val * vec, atol=1e-11 * n)
+            np.testing.assert_allclose(np.linalg.norm(vec), 1.0, atol=1e-12)
+
+    def test_phase_convention_real_positive_pivot(self):
+        for seed in range(8):
+            pair = extremal_pair(random_hermitian(8, np.random.default_rng(seed)))
+            for vec in (pair.vec_min, pair.vec_max):
+                idx = int(np.argmax(np.abs(vec)))
+                assert vec[idx].imag == 0.0
+                assert vec[idx].real > 0
+
+    def test_phase_convention_ties_go_to_lowest_index(self):
+        # eigenvectors (1, +-1)/sqrt(2) up to phase: both components tie
+        pair = extremal_pair(np.array([[0.0, 1j], [-1j, 0.0]]))
+        for vec in (pair.vec_min, pair.vec_max):
+            assert vec[0] == abs(vec[0]) > 0
+            np.testing.assert_allclose(abs(vec[1]), vec[0], atol=1e-15)
+
+    def test_deterministic_bit_for_bit(self):
+        m = random_hermitian(10, np.random.default_rng(13))
+        a, b = extremal_pair(m), extremal_pair(m.copy())
+        assert (a.val_min, a.val_max) == (b.val_min, b.val_max)
+        assert np.array_equal(a.vec_min, b.vec_min)
+        assert np.array_equal(a.vec_max, b.vec_max)
+
+    def test_real_diagonal_input(self):
+        pair = extremal_pair(np.diag([3.0, -1.0, 2.0]))
+        assert (pair.val_min, pair.val_max) == (-1.0, 3.0)
+        np.testing.assert_array_equal(pair.vec_min, [0, 1, 0])
+        np.testing.assert_array_equal(pair.vec_max, [1, 0, 0])
+        assert pair.vec_min.dtype == np.complex128
+
     def test_degeneracy_flagged(self):
         assert extremal_pair(np.eye(3, dtype=complex)).degenerate
+        assert extremal_pair(np.zeros((1, 1))).degenerate
+
+    def test_degenerate_interior_not_flagged(self):
+        # a twofold level strictly inside the spectrum leaves both ends simple
+        u = np.linalg.qr(random_hermitian(4, np.random.default_rng(2)))[0]
+        m = u @ np.diag([-1.0, 0.5, 0.5, 2.0]) @ u.conj().T
+        pair = extremal_pair(m)
+        assert not pair.degenerate
+        assert pair.gap == pytest.approx(3.0, abs=1e-12)
+
+    def test_degenerate_extremal_level_flagged(self):
+        u = np.linalg.qr(random_hermitian(3, np.random.default_rng(2)))[0]
+        m = u @ np.diag([1.0, 1.0, 3.0]) @ u.conj().T
+        pair = extremal_pair(m)
+        assert pair.degenerate
+        np.testing.assert_allclose(np.vdot(pair.vec_min, pair.vec_max), 0.0, atol=1e-12)
+
+
+class TestGapSeries:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
+    def test_matches_eigvalsh_on_random_stack(self, n):
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_hermitian(n, rng) for _ in range(5)])
+        want = [np.ptp(np.linalg.eigvalsh(m)) for m in stack]
+        np.testing.assert_allclose(gap_series(stack), want, atol=1e-12 * n)
+
+    def test_matches_extremal_pairs(self):
+        rng = np.random.default_rng(21)
+        stack = np.stack([random_hermitian(6, rng) for _ in range(4)])
+        want = [extremal_pair(m).gap for m in stack]
+        np.testing.assert_allclose(gap_series(stack), want, atol=1e-12)
+
+    def test_deterministic_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_hermitian(8, rng) for _ in range(6)])
+        assert np.array_equal(gap_series(stack), gap_series(stack.copy()))
 
 
 class TestQfiCentralDiff:
@@ -87,18 +178,20 @@ class TestQfiMaxBound:
     def test_zero_sensitivity(self):
         grid = TimeGrid(16)
         dh = np.zeros((16, 2, 2), dtype=complex)
-        assert qfi_max_bound(dh, grid) == 0.0
+        assert qfi_max_bound(gap_series(dh), grid) == 0.0
 
     def test_constant_z_gap(self):
         grid = TimeGrid(64)
         c = 0.7
         dh = np.broadcast_to(c * Z, (64, 2, 2)).copy()
-        np.testing.assert_allclose(qfi_max_bound(dh, grid), (2 * c) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(
+            qfi_max_bound(gap_series(dh), grid), (2 * c) ** 2, rtol=1e-12
+        )
 
     def test_time_scaling_quadruples(self):
         dh = np.broadcast_to(Z, (64, 2, 2)).copy()
-        b1 = qfi_max_bound(dh, TimeGrid(64, horizon=1.0))
-        b2 = qfi_max_bound(dh, TimeGrid(64, horizon=2.0))
+        b1 = qfi_max_bound(gap_series(dh), TimeGrid(64, horizon=1.0))
+        b2 = qfi_max_bound(gap_series(dh), TimeGrid(64, horizon=2.0))
         np.testing.assert_allclose(b2, 4 * b1, rtol=1e-12)
 
 

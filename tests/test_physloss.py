@@ -110,16 +110,15 @@ class TestCausality:
 
 class TestTotal:
     def test_all_zero(self):
-        out = total_loss(Tensor.const(np.zeros(8)), np.ones(8))
+        out, weights = total_loss(Tensor.const(np.zeros(8)), None, None, LossWeights())
         assert out.data == 0.0
+        np.testing.assert_array_equal(weights, np.ones(8))
 
     def test_constant_el_only(self):
         # eps_t = 0, only the stationarity term active with constant value c
         w = LossWeights(w_eta=0, w_balance=0, w_phase=0, w_reg=0, eps_t=0.0)
         c = 0.013
-        per_time = Tensor.const(np.full(16, w.w_el * c))
-        weights = causality_weights(np.full(16, w.w_el * c), w.eps_t)
-        out = total_loss(per_time, weights)
+        out, _ = total_loss(Tensor.const(np.full(16, c)), None, None, w)
         np.testing.assert_allclose(out.data, w.w_el * c, atol=1e-15)
 
     def test_spreadsheet_toy_recomputation(self):
@@ -127,23 +126,32 @@ class TestTotal:
         w = LossWeights(w_el=10.0, w_eta=1.0, w_balance=1.0, w_phase=0.1, w_reg=0.01,
                         eps_t=0.5)
         el = np.array([0.2, 0.1, 0.05, 0.01])
-        reg = np.array([0.01, 0.02, 0.0, 0.0])
-        eta_t, phase_t, bal_t = terminal_losses(0.9, 0.8, 0.7)
-        per_time = w.w_el * el + w.w_reg * reg
+        reg = np.array([0.01, 0.02, 0.0])  # one commutator per consecutive pair
+        terms = terminal_losses(*(Tensor.const(v) for v in (0.9, 0.8, 0.7)))
+        got, weights = total_loss(Tensor.const(el), Tensor.const(reg), terms, w)
+        eta_t, phase_t, bal_t = (float(t.data) for t in terms)
+        per_time = w.w_el * el + w.w_reg * np.append(reg, 0.0)
         per_time[-1] += w.w_eta * eta_t + w.w_phase * phase_t + w.w_balance * bal_t
-        weights = causality_weights(per_time, w.eps_t)
-        got = total_loss(Tensor.const(per_time), weights).data
         expected = 0.0
         running = 0.0
         for n in range(4):
+            np.testing.assert_allclose(weights[n], np.exp(-0.5 * running), atol=1e-15)
             expected += np.exp(-0.5 * running) * per_time[n]
             running += per_time[n]
         expected /= 4
-        np.testing.assert_allclose(got, expected, atol=1e-15)
+        np.testing.assert_allclose(got.data, expected, atol=1e-15)
+
+    def test_given_weights_are_used_unchanged(self):
+        w = LossWeights(w_el=2.0, eps_t=3.0)
+        given = np.array([1.0, 0.0, 0.5])
+        out, weights = total_loss(Tensor.const(np.array([1.0, 5.0, 2.0])), None, None,
+                                  w, given)
+        assert weights is given
+        np.testing.assert_allclose(out.data, 2.0 * (1.0 + 1.0) / 3, atol=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            total_loss(Tensor.const(np.zeros(4)), np.ones(5))
+            total_loss(Tensor.const(np.zeros(4)), None, None, LossWeights(), np.ones(5))
 
     def test_reference_mode_zeroes_everything_but_el(self):
         w = LossWeights().reference_mode()

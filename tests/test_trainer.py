@@ -107,6 +107,21 @@ class TestGradients:
         for k in g_ref:
             assert np.array_equal(g_ref[k], g_zero[k])
 
+    def test_tape_freed_without_cycle_collector(self):
+        import gc
+
+        cfg = tiny_config()
+        ctx = build_context(cfg)
+        params = init_params(ctx.shape, cfg.seed)
+        gc.collect()
+        gc.disable()
+        try:
+            result, _ = loss_and_grads(ctx, params)
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_reference_mode_skips_propagation(self):
         cfg = tiny_config(weights=LossWeights().reference_mode())
         ctx = build_context(cfg)
@@ -160,6 +175,24 @@ class TestTrainRun:
         assert (tmp_path / "checkpoint.json").exists()
         text = (tmp_path / "loss.csv").read_text()
         assert "# aborted at epoch 3" in text
+
+    def test_eta_outside_domain_aborts(self, tmp_path, monkeypatch):
+        import cdqfi.trainer as trainer_mod
+
+        real = trainer_mod.build_context
+
+        def shrunk_bound(config):
+            # a tiny gap normalizer inflates eta far past its [-0.05, 1.05] domain
+            ctx = real(config)
+            ctx.gap_direction = ctx.gap_direction * 1e-3
+            return ctx
+
+        monkeypatch.setattr(trainer_mod, "build_context", shrunk_bound)
+        _, manifest = trainer_mod.train(tiny_config(epochs=3), tmp_path)
+        assert manifest.to_json_dict()["aborted"]
+        text = (tmp_path / "loss.csv").read_text()
+        assert "# aborted at epoch 1: eta=" in text
+        assert len(text.strip().splitlines()) == 2
 
     def test_baseline_reference_pairs_with_train(self, tmp_path):
         cfg = tiny_config(epochs=2, seed=33)
