@@ -279,76 +279,108 @@ def backward(out: Tensor):
             node._backward(node.grad)
 
 
+# Elements (pairs x rows) gathered per chunk: 512 KiB of float64 per temporary,
+# so a chunk's gathers, products and segment sums stay in cache.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+class _PairList:
+    """One contraction's pairs in its reduction order: out[:, r] is the sum of
+    w_p a[:, ga_p] b[:, gb_p] over the segment of pairs p with reduction
+    index r."""
+
+    __slots__ = ("w", "ga", "gb", "cols", "starts", "_plans")
+
+    def __init__(self, red, w, ga, gb):
+        self.w = w[:, None]
+        self.ga = ga
+        self.gb = gb
+        self.starts = np.flatnonzero(np.diff(red, prepend=-1))
+        self.cols = red[self.starts]
+        self._plans = {}
+
+    def _plan(self, n_rows):
+        """Chunks (lo, hi, segment starts from lo, output columns) and the
+        longest chunk for operands of n_rows rows, computed once per n_rows.
+        A chunk holds the segments that start in one window of `per` pairs,
+        so no segment is split between two chunks."""
+        plan = self._plans.get(n_rows)
+        if plan is None:
+            per = max(1, _CHUNK_ELEMENTS // max(1, n_rows))
+            seg = np.flatnonzero(np.diff(self.starts // per, prepend=-1)).tolist()
+            seg.append(len(self.starts))
+            bounds = self.starts.tolist() + [len(self.ga)]
+            chunks = [
+                (bounds[s0], bounds[s1], self.starts[s0:s1] - bounds[s0], self.cols[s0:s1])
+                for s0, s1 in zip(seg[:-1], seg[1:])
+            ]
+            longest = max(hi - lo for lo, hi, _, _ in chunks)
+            plan = self._plans[n_rows] = (chunks, longest)
+        return plan
+
+    def contract(self, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+        n_rows = a.shape[0]
+        if len(self.ga) == 0:
+            return np.zeros((n_rows, width))
+        chunks, longest = self._plan(n_rows)
+        aT = np.ascontiguousarray(a.T)
+        bT = np.ascontiguousarray(b.T)
+        buf_a = np.empty((longest, n_rows))
+        buf_b = np.empty((longest, n_rows))
+        outT = np.zeros((width, n_rows))
+        for lo, hi, starts, cols in chunks:
+            # mode="clip" lets take write into `out` unbuffered; indices are valid
+            va = np.take(aT, self.ga[lo:hi], axis=0, out=buf_a[: hi - lo], mode="clip")
+            vb = np.take(bT, self.gb[lo:hi], axis=0, out=buf_b[: hi - lo], mode="clip")
+            np.multiply(self.w[lo:hi], va, out=va)
+            np.multiply(va, vb, out=va)
+            outT[cols] = np.add.reduceat(va, starts, axis=0)
+        # C order again: row reductions downstream sum in layout order
+        return np.ascontiguousarray(outT.T)
+
+
 class BilinearScatter:
     """Sparse bilinear contraction out[.., k] = sum_p w_p x[.., i_p] y[.., j_p].
 
-    Pair lists are pre-sorted per output index so forward and both backward
-    contractions are segment sums (add.reduceat), with a fixed deterministic
-    reduction order.  Used for basis-projected commutators in the loss.
+    Used for basis-projected commutators in the loss.  Each of the three
+    contractions (forward, grad_x, grad_y) keeps its own copy of the pair
+    list, sorted stably by the index it reduces over (k, i and j), with its
+    weights and both gather indices in that order.  Operands are transposed
+    to (M, n_rows), so every gather copies whole contiguous rows, and the
+    pair list is cut into chunks of about _CHUNK_ELEMENTS elements at
+    segment boundaries; each chunk is one add.reduceat along axis 0.
+
+    Results do not depend on the chunking: a segment is never split, the
+    products are formed as (w a) b, and the pairs of a segment are summed
+    in the same order as a row-major add.reduceat over w x[:, ii] y[:, jj]
+    in stable-sorted order, which this layout reproduces bit for bit.
     """
 
-    def __init__(self, ii, jj, kk, w, in_size, out_size, row_block=None):
-        order = np.argsort(kk, kind="stable")
+    def __init__(self, ii, jj, kk, w, in_size, out_size):
+        # the narrowest key type: numpy sorts 8- and 16-bit keys by radix
+        key = np.min_scalar_type(max(in_size, out_size))
+        order = np.argsort(kk.astype(key), kind="stable")
         self.ii = np.ascontiguousarray(ii[order])
         self.jj = np.ascontiguousarray(jj[order])
         self.kk = np.ascontiguousarray(kk[order])
         self.w = np.ascontiguousarray(np.asarray(w, dtype=np.float64)[order])
         self.in_size = in_size
         self.out_size = out_size
-        self.k_cols, self.k_starts = np.unique(self.kk, return_index=True)
-        self.order_i = np.argsort(self.ii, kind="stable")
-        self.i_cols, self.i_starts = np.unique(self.ii[self.order_i], return_index=True)
-        self.order_j = np.argsort(self.jj, kind="stable")
-        self.j_cols, self.j_starts = np.unique(self.jj[self.order_j], return_index=True)
         self.n_pairs = len(self.w)
-        if row_block is None:
-            row_block = max(1, (1 << 24) // max(1, self.n_pairs))
-        self.row_block = row_block
-
-    def _segment_apply(self, rows_fn, starts, cols, n_rows, width):
-        out = np.zeros((n_rows, width))
-        for lo in range(0, n_rows, self.row_block):
-            hi = min(lo + self.row_block, n_rows)
-            vals = rows_fn(lo, hi)
-            out[lo:hi, cols] = np.add.reduceat(vals, starts, axis=1)
-        return out
+        self._fwd = _PairList(self.kk, self.w, self.ii, self.jj)
+        oi = np.argsort(self.ii.astype(key), kind="stable")
+        self._gx = _PairList(self.ii[oi], self.w[oi], self.kk[oi], self.jj[oi])
+        oj = np.argsort(self.jj.astype(key), kind="stable")
+        self._gy = _PairList(self.jj[oj], self.w[oj], self.kk[oj], self.ii[oj])
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.n_pairs == 0:
-            return np.zeros((x.shape[0], self.out_size))
-        return self._segment_apply(
-            lambda lo, hi: self.w * x[lo:hi, self.ii] * y[lo:hi, self.jj],
-            self.k_starts,
-            self.k_cols,
-            x.shape[0],
-            self.out_size,
-        )
+        return self._fwd.contract(x, y, self.out_size)
 
     def grad_x(self, g, y):
-        if self.n_pairs == 0:
-            return np.zeros((g.shape[0], self.in_size))
-        return self._segment_apply(
-            lambda lo, hi: (self.w * g[lo:hi, self.kk] * y[lo:hi, self.jj])[
-                :, self.order_i
-            ],
-            self.i_starts,
-            self.i_cols,
-            g.shape[0],
-            self.in_size,
-        )
+        return self._gx.contract(g, y, self.in_size)
 
     def grad_y(self, g, x):
-        if self.n_pairs == 0:
-            return np.zeros((g.shape[0], self.in_size))
-        return self._segment_apply(
-            lambda lo, hi: (self.w * g[lo:hi, self.kk] * x[lo:hi, self.ii])[
-                :, self.order_j
-            ],
-            self.j_starts,
-            self.j_cols,
-            g.shape[0],
-            self.in_size,
-        )
+        return self._gy.contract(g, x, self.in_size)
 
     def __call__(self, x: Tensor, y: Tensor) -> Tensor:
         out = Tensor(self.apply(x.data, y.data))
@@ -383,10 +415,6 @@ class CTensor:
     def const(z) -> "CTensor":
         z = np.asarray(z, dtype=np.complex128)
         return CTensor(Tensor.const(z.real.copy()), Tensor.const(z.imag.copy()))
-
-    @staticmethod
-    def from_real(re: Tensor) -> "CTensor":
-        return CTensor(re, Tensor.const(np.zeros(re.shape)))
 
     @property
     def shape(self):

@@ -84,10 +84,6 @@ class PauliTerm:
         ).copy()
 
 
-def _letters_from_codes(codes: np.ndarray) -> str:
-    return "".join(LETTERS[c] for c in codes)
-
-
 class OperatorBasis:
     """Ordered, deduplicated k-local Pauli-string basis for q qubits.
 

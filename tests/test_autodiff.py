@@ -1,5 +1,7 @@
 """Gradient engine: finite-difference checks for every primitive."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,17 +162,82 @@ class TestBilinearScatter:
             lambda a, b: (table(a, b) ** 2).sum(), [(3, 5), (3, 5)], seed=3, trials=2
         )
 
-    def test_row_blocking_consistent(self):
-        rng = np.random.default_rng(4)
-        ii = rng.integers(0, 6, 25)
-        jj = rng.integers(0, 6, 25)
-        kk = rng.integers(0, 6, 25)
-        w = rng.standard_normal(25)
-        t1 = BilinearScatter(ii, jj, kk, w, 6, 6)
-        t2 = BilinearScatter(ii, jj, kk, w, 6, 6, row_block=2)
-        x = rng.standard_normal((9, 6))
-        y = rng.standard_normal((9, 6))
-        np.testing.assert_allclose(t1.apply(x, y), t2.apply(x, y), atol=1e-13)
+    @staticmethod
+    def row_major_reduceat(red, ga, gb, w, a, b, width):
+        """out[:, r] = sum of w a[:, ga] b[:, gb] over the pairs with red == r,
+        as one row-major add.reduceat over the pairs in stable `red` order.
+
+        Rows are independent, so blocks of 32 rows give the same bits as one
+        pass over all rows and keep the (rows x pairs) temporaries small."""
+        order = np.argsort(red, kind="stable")
+        red, ga, gb, w = red[order], ga[order], gb[order], w[order]
+        cols, starts = np.unique(red, return_index=True)
+        out = np.zeros((a.shape[0], width))
+        for lo in range(0, a.shape[0], 32):
+            vals = w * a[lo : lo + 32, ga] * b[lo : lo + 32, gb]
+            out[lo : lo + 32, cols] = np.add.reduceat(vals, starts, axis=1)
+        return out
+
+    @staticmethod
+    def pair_lists(case):
+        from cdqfi.pauli import build_basis, build_commutator_table
+
+        rng = np.random.default_rng(7)
+        if case == "random-duplicates":
+            # 40 pairs over 6 x 6 inputs and 9 outputs: repeated (i, j, k)
+            # pairs, and outputs 0 and 8 receive none
+            ii = rng.integers(0, 6, 40)
+            jj = rng.integers(0, 6, 40)
+            kk = rng.integers(1, 8, 40)
+            ii[20:30], jj[20:30], kk[20:30] = ii[:10], jj[:10], kk[:10]
+            return ii, jj, kk, rng.standard_normal(40), 6, 9, 5
+        q = {"q3-full": 3, "q4-full": 4, "single-row": 4}[case]
+        basis = build_basis(q, q)
+        raw = build_commutator_table(basis)
+        rows = 1 if case == "single-row" else 255
+        return raw.ii, raw.jj, raw.kk, raw.w_imag, basis.size, basis.size, rows
+
+    @pytest.mark.parametrize(
+        "case", ["q3-full", "q4-full", "random-duplicates", "single-row"]
+    )
+    def test_bitwise_equal_to_row_major_reduceat(self, case):
+        ii, jj, kk, w, m_in, m_out, rows = self.pair_lists(case)
+        table = BilinearScatter(ii, jj, kk, w, m_in, m_out)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((rows, m_in))
+        y = rng.standard_normal((rows, m_in))
+        g = rng.standard_normal((rows, m_out))
+        # the gradients reduce the forward (stable k-sorted) list in stable
+        # i and j order
+        order = np.argsort(kk, kind="stable")
+        ii, jj, kk, w = ii[order], jj[order], kk[order], w[order]
+        oracle = self.row_major_reduceat
+        np.testing.assert_array_equal(
+            table.apply(x, y), oracle(kk, ii, jj, w, x, y, m_out)
+        )
+        np.testing.assert_array_equal(
+            table.grad_x(g, y), oracle(ii, kk, jj, w, g, y, m_in)
+        )
+        np.testing.assert_array_equal(
+            table.grad_y(g, x), oracle(jj, kk, ii, w, g, x, m_in)
+        )
+
+    def test_q4_contractions_stay_in_cache_sized_temporaries(self):
+        # one (rows x pairs) temporary of the full q=4 table is 255 * 32640
+        # doubles, 64 MiB; the pair-major chunks need well under 8 MiB
+        ii, jj, kk, w, m, _, rows = self.pair_lists("q4-full")
+        table = BilinearScatter(ii, jj, kk, w, m, m)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((rows, m))
+        y = rng.standard_normal((rows, m))
+        tracemalloc.start()
+        try:
+            table.apply(x, y)
+            table.grad_x(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_empty_table(self):
         table = BilinearScatter(
@@ -183,6 +250,14 @@ class TestBilinearScatter:
         )
         out = table.apply(np.ones((2, 4)), np.ones((2, 4)))
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
+        g = np.ones((2, 3))
+        np.testing.assert_array_equal(table.grad_x(g, np.ones((2, 4))), np.zeros((2, 4)))
+        np.testing.assert_array_equal(table.grad_y(g, np.ones((2, 4))), np.zeros((2, 4)))
+        x = Tensor.leaf(np.ones((2, 4)))
+        y = Tensor.leaf(np.ones((2, 4)))
+        backward(table(x, y).sum())
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 4)))
+        np.testing.assert_array_equal(y.grad, np.zeros((2, 4)))
 
 
 class TestCTensor:

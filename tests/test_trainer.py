@@ -5,14 +5,23 @@ import json
 import numpy as np
 import pytest
 
+from cdqfi.autodiff import Tensor
 from cdqfi.config import RunConfig
 from cdqfi.models import ModelSpec
-from cdqfi.physloss import LossWeights
+from cdqfi.pauli import OperatorCoeffs, el_residual_coeffs
+from cdqfi.physloss import (
+    LossWeights,
+    commutativity_regularizer,
+    el_loss,
+    el_loss_rows,
+    regularizer_rows,
+)
 from cdqfi.trainer import (
     build_context,
     epoch_forward,
     evaluate_checkpoint,
     evaluate_protocol,
+    hamiltonian_rows,
     load_checkpoint,
     loss_and_grads,
     baseline_reference,
@@ -60,6 +69,33 @@ class TestContext:
         b = epoch_forward(ctx, params)
         assert a.total.data == b.total.data
         assert np.array_equal(a.frozen["weights"], b.frozen["weights"])
+
+    @pytest.mark.parametrize("basis_k", [3, 2])
+    def test_tables_match_scalar_oracles(self, basis_k):
+        # the context's scatter tables, used the way epoch_forward uses them,
+        # against the per-time OperatorCoeffs routes on real structure constants
+        cfg = tiny_config(model=ModelSpec("nearest-neighbor", 3), basis_k=basis_k)
+        ctx = build_context(cfg)
+        n_t, basis = ctx.grid.n_t, ctx.basis
+        rng = np.random.default_rng(basis_k)
+        lam = rng.uniform(0.0, 1.0, (n_t, 1))
+        dlam = rng.standard_normal((n_t, 1))
+        a = rng.standard_normal((n_t, basis.size))
+        omega = cfg.model.omega
+        ctrl, tot = hamiltonian_rows(ctx, omega, lam, dlam, a)
+        dctrl = ctx.dctrl_rows[omega]
+        c_hat = ctx.el_table(Tensor.const(a), Tensor.const(ctrl))
+        q_hat = Tensor.const(dctrl) - c_hat
+        el_rows = el_loss_rows(ctx.el_table(q_hat, Tensor.const(ctrl))).data
+        reg_rows = regularizer_rows(
+            ctx.reg_table(Tensor.const(tot[1:]), Tensor.const(tot[:-1]))
+        ).data
+        coeffs = lambda row: OperatorCoeffs(basis, row)
+        for t in (1, n_t // 2, n_t - 1):
+            residual = el_residual_coeffs(coeffs(a[t]), coeffs(ctrl[t]), coeffs(dctrl[t]))
+            np.testing.assert_allclose(el_rows[t], el_loss(residual.values), rtol=1e-12)
+            reg = commutativity_regularizer(coeffs(tot[t]), coeffs(tot[t - 1]))
+            np.testing.assert_allclose(reg_rows[t - 1], reg, rtol=1e-12)
 
 
 class TestGradients:
