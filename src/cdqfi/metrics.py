@@ -44,18 +44,28 @@ def _phased(vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def extremal_pairs(mats: np.ndarray, tol: float = DEGENERACY_TOL) -> list[ExtremalPair]:
+    """Extremal eigenpairs of every matrix in a (n, d, d) Hermitian stack,
+    from one batched eigensolve."""
+    vals, vecs = np.linalg.eigh(np.asarray(mats, dtype=np.complex128))
+    if vals.shape[-1] > 1:
+        degenerate = (vals[:, 1] - vals[:, 0] < tol) | (vals[:, -1] - vals[:, -2] < tol)
+    else:
+        degenerate = np.ones(len(vals), dtype=bool)
+    return [
+        ExtremalPair(
+            val_min=float(v[0]),
+            val_max=float(v[-1]),
+            vec_min=_phased(u[:, 0]),
+            vec_max=_phased(u[:, -1]),
+            degenerate=bool(deg),
+        )
+        for v, u, deg in zip(vals, vecs, degenerate)
+    ]
+
+
 def extremal_pair(mat: np.ndarray, tol: float = DEGENERACY_TOL) -> ExtremalPair:
-    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=np.complex128))
-    degenerate = bool(
-        (vals[1] - vals[0] < tol) or (vals[-1] - vals[-2] < tol)
-    ) if len(vals) > 1 else True
-    return ExtremalPair(
-        val_min=float(vals[0]),
-        val_max=float(vals[-1]),
-        vec_min=_phased(vecs[:, 0]),
-        vec_max=_phased(vecs[:, -1]),
-        degenerate=degenerate,
-    )
+    return extremal_pairs(np.asarray(mat)[None], tol)[0]
 
 
 def qfi_from_states(

@@ -9,10 +9,11 @@ All operators are emitted as real coefficient vectors on a shared basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .pauli import OperatorBasis, OperatorCoeffs
+from .pauli import OperatorBasis
 
 FAMILIES = {
     "nearest-neighbor": None,  # alpha -> infinity, dedicated branch
@@ -41,8 +42,7 @@ class ModelSpec:
     q: int
     h: float = 1.0
     omega: float = 1.0
-    J: float = 1.0
-    T: float = 1.0
+    T: ClassVar[float] = 1.0  # protocol horizon: the schedule runs over [0, 1]
 
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
@@ -55,9 +55,6 @@ class ModelSpec:
     def alpha(self) -> float | None:
         """Distance-decay exponent; None encodes the nearest-neighbor limit."""
         return FAMILIES[self.family]
-
-    def with_omega(self, omega: float) -> "ModelSpec":
-        return ModelSpec(self.family, self.q, self.h, omega, self.J, self.T)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "q": self.q, "h": self.h, "omega": self.omega}
@@ -101,7 +98,7 @@ def pair_row(spec: ModelSpec, basis: OperatorBasis) -> np.ndarray:
             if spec.alpha is None:
                 if dist != 1:
                     continue
-                strength = spec.J
+                strength = 1.0
             else:
                 strength = dist ** (-spec.alpha)
             s = ["I"] * spec.q
@@ -140,49 +137,3 @@ def sensitivity_direction_rows(
     return np.outer(-t * np.cos(wt), pair_row(spec, basis)) + np.outer(
         -t * np.sin(wt), z_row(spec, basis)
     )
-
-
-def initial_coeffs(spec: ModelSpec, basis: OperatorBasis) -> OperatorCoeffs:
-    return OperatorCoeffs(basis, initial_row(spec, basis).astype(complex))
-
-
-def final_coeffs(spec: ModelSpec, basis: OperatorBasis, t: float) -> OperatorCoeffs:
-    return OperatorCoeffs(basis, final_rows(spec, basis, t)[0].astype(complex))
-
-
-def control_coeffs(
-    spec: ModelSpec, basis: OperatorBasis, t: float, lambda_val: float
-) -> OperatorCoeffs:
-    """(1 - lambda) * initial + lambda * final(t)."""
-    if not 0.0 <= lambda_val <= 1.0:
-        raise ValueError("lambda_val outside [0, 1]")
-    ini = initial_coeffs(spec, basis)
-    fin = final_coeffs(spec, basis, t)
-    return (1.0 - lambda_val) * ini + lambda_val * fin
-
-
-def sensitivity_coeffs(
-    spec: ModelSpec, basis: OperatorBasis, t: float, lambda_val: float
-) -> OperatorCoeffs:
-    """Analytic frequency derivative of the control operator."""
-    row = lambda_val * sensitivity_direction_rows(spec, basis, t)[0]
-    return OperatorCoeffs(basis, row.astype(complex))
-
-
-def dlambda_coeffs(spec: ModelSpec, basis: OperatorBasis, t: float) -> OperatorCoeffs:
-    """Schedule derivative of the control operator: final(t) - initial."""
-    return final_coeffs(spec, basis, t) - initial_coeffs(spec, basis)
-
-
-def total_coeffs(
-    spec: ModelSpec,
-    basis: OperatorBasis,
-    t: float,
-    lambda_val: float,
-    dlambda_dt: float,
-    agp: OperatorCoeffs,
-) -> OperatorCoeffs:
-    """Control operator plus the velocity-scaled gauge potential."""
-    if agp.basis != basis:
-        raise ValueError("gauge potential lives on a different basis")
-    return control_coeffs(spec, basis, t, lambda_val) + dlambda_dt * agp

@@ -9,22 +9,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .magnus import (
-    TimeGrid,
-    WindowPlan,
-    evolve_sequential,
-    evolve_windowed,
-    truncation_error_bound,
-)
-from .metrics import qfi_from_states, qfi_max_bound
+from .magnus import WindowPlan, truncation_error_bound
 from .network import AdamState, init_params
 from .pauli import build_basis
 from .schedule import reference_schedule
 from .trainer import (
     build_context,
-    dense_rows,
-    hamiltonian_rows,
     loss_and_grads,
+    propagate_sequential,
+    propagate_windowed,
     protocol_rows,
 )
 
@@ -55,44 +48,26 @@ def magnus_study(
     if not n_w_list or not p_list:
         raise ValueError("need at least one window count and one order")
     ctx = build_context(config)
-    grid, dim = ctx.grid, ctx.dim
+    grid = ctx.grid
     if params is None:
         lam, dlam = reference_schedule(grid.times)
         a_rows = np.zeros((grid.n_t, ctx.basis.size))
     else:
         lam, dlam, a_rows = protocol_rows(config, params, ctx)
-    stack = ctx.stack_re + 1j * ctx.stack_im
-
-    h_dense = {}
-    for omega in ctx.omegas:
-        _, rows = hamiltonian_rows(ctx, omega, lam[:, None], dlam[:, None], a_rows)
-        h_dense[omega] = dense_rows(rows, stack, dim)
-
-    f_q_max = qfi_max_bound(lam * ctx.gap_direction, grid)
-    seq = {w: evolve_sequential(ctx.psi0, h_dense[w], grid) for w in ctx.omegas}
-    w0, wp, wm = ctx.omegas
-    dw = config.delta_omega
-    eta_seq = qfi_from_states(
-        seq[w0].psi_final, seq[wp].psi_final, seq[wm].psi_final, dw
-    ) / f_q_max
+    prop = propagate_sequential(ctx, lam, dlam, a_rows, want_prefix=False)
+    eta_seq = prop.f_q / prop.f_q_max
 
     rows_out = []
     for n_w in n_w_list:
         plan = WindowPlan(grid.n_t, n_w)
         for p in p_list:
-            psi = {}
-            for omega in ctx.omegas:
-                col, _ = evolve_windowed(
-                    ctx.psi0[:, None], h_dense[omega], grid, plan, p
-                )
-                psi[omega] = col[:, 0]
-            eta_win = qfi_from_states(psi[w0], psi[wp], psi[wm], dw) / f_q_max
+            psi, f_q_win, _ = propagate_windowed(ctx, prop.h_dense, plan, p)
             rows_out.append(
                 MagnusStudyRow(
                     n_w=n_w,
                     p=p,
-                    eta_error=abs(eta_win - eta_seq),
-                    state_error=float(np.linalg.norm(psi[w0] - seq[w0].psi_final)),
+                    eta_error=abs(f_q_win / prop.f_q_max - eta_seq),
+                    state_error=float(np.linalg.norm(psi - prop.central.psi_final)),
                     bound=truncation_error_bound(grid.horizon, n_w, p),
                 )
             )

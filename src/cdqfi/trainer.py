@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +20,18 @@ import numpy as np
 from . import __version__
 from .autodiff import BilinearScatter, CTensor, Tensor, backward, vdot
 from .config import RunConfig
-from .magnus import TimeGrid, WindowPlan, evolve_sequential, evolve_windowed
+from .magnus import (
+    SequentialResult,
+    TimeGrid,
+    WindowPlan,
+    evolve_sequential,
+    evolve_windowed,
+)
 from .metrics import (
     ExtremalPair,
     MetricsReport,
     extremal_pair,
+    extremal_pairs,
     extremal_subspace_trace,
     fidelity_block,
     gap_series,
@@ -69,7 +76,8 @@ class TrainingContext:
     t_col: np.ndarray
     init_row: np.ndarray  # (M,)
     dctrl_rows: dict  # omega key -> (T, M): final(t) - initial
-    stack_re: np.ndarray  # (M, d*d)
+    stack: np.ndarray  # (M, d*d) complex
+    stack_re: np.ndarray  # its real and imaginary parts, for the tape
     stack_im: np.ndarray
     el_table: BilinearScatter
     reg_table: BilinearScatter | None
@@ -125,7 +133,7 @@ def build_context(config: RunConfig) -> TrainingContext:
     dctrl = {}
     for omega in (spec.omega, spec.omega + config.delta_omega,
                   spec.omega - config.delta_omega):
-        dctrl[omega] = final_rows(spec.with_omega(omega), basis, grid.times) - ini
+        dctrl[omega] = final_rows(replace(spec, omega=omega), basis, grid.times) - ini
     support = _h_support_indices(basis, spec)
     el_raw = build_commutator_table(basis, None, support)
     el_table = BilinearScatter(
@@ -152,6 +160,7 @@ def build_context(config: RunConfig) -> TrainingContext:
         t_col=grid.times.reshape(-1, 1),
         init_row=ini,
         dctrl_rows=dctrl,
+        stack=stack,
         stack_re=np.ascontiguousarray(stack.real),
         stack_im=np.ascontiguousarray(stack.imag),
         el_table=el_table,
@@ -236,7 +245,7 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
     else:
         f_q_max = frozen["f_q_max"]
     reg_rows = None
-    if w.w_reg != 0.0 and ctx.reg_table is not None:
+    if ctx.reg_table is not None:
         reg_rows = regularizer_rows(ctx.reg_table(h_tot[1:], h_tot[: n_t - 1]))
 
     terminal_active = (w.w_eta != 0.0) or (w.w_balance != 0.0) or (w.w_phase != 0.0)
@@ -428,46 +437,72 @@ def protocol_rows(config: RunConfig, params: dict, ctx: TrainingContext):
     return lam.data, dlam.data, a_rows.data
 
 
+@dataclass
+class Propagation:
+    """Sequential evolutions of one concrete protocol at omega, omega + dw and
+    omega - dw (in `TrainingContext.omegas` order)."""
+
+    ctrl_rows: np.ndarray  # (n_t, M) control rows at omega
+    h_dense: list  # three (n_t, d, d) total Hamiltonians
+    central: SequentialResult  # the evolution at omega
+    f_q: float
+    f_q_max: float
+
+
+def propagate_sequential(
+    ctx: TrainingContext, lam, dlam, a_rows, want_prefix: bool
+) -> Propagation:
+    """Dense totals and sequential evolutions at the three frequencies, with
+    F_Q by central differences and its spectral bound F_Q,max; the cumulative
+    propagators are kept for the central evolution when `want_prefix`."""
+    ctrl_rows, h_dense, seqs = [], [], []
+    for omega in ctx.omegas:
+        ctrl, rows = hamiltonian_rows(ctx, omega, lam[:, None], dlam[:, None], a_rows)
+        ctrl_rows.append(ctrl)
+        h_dense.append(dense_rows(rows, ctx.stack, ctx.dim))
+        seqs.append(evolve_sequential(
+            ctx.psi0, h_dense[-1], ctx.grid,
+            want_prefix=want_prefix and omega == ctx.omegas[0],
+        ))
+    return Propagation(
+        ctrl_rows=ctrl_rows[0],
+        h_dense=h_dense,
+        central=seqs[0],
+        f_q=qfi_from_states(*(s.psi_final for s in seqs), ctx.config.delta_omega),
+        f_q_max=qfi_max_bound(lam * ctx.gap_direction, ctx.grid),
+    )
+
+
+def propagate_windowed(ctx: TrainingContext, h_dense: list, plan: WindowPlan, p: int):
+    """Windowed evolutions of the three dense totals of `propagate_sequential`:
+    (central final state, F_Q by central differences, central window propagators)."""
+    finals, props = [], []
+    for h in h_dense:
+        psi_col, window_props = evolve_windowed(ctx.psi0[:, None], h, ctx.grid, plan, p)
+        finals.append(psi_col[:, 0])
+        props.append(window_props)
+    return finals[0], qfi_from_states(*finals, ctx.config.delta_omega), props[0]
+
+
 def evaluate_protocol(
     config: RunConfig, params: dict, ctx: TrainingContext | None = None
 ) -> tuple[MetricsReport, dict]:
     """Run sequential + windowed evolutions and assemble the full report."""
     if ctx is None:
         ctx = build_context(config)
-    grid, dim = ctx.grid, ctx.dim
+    grid = ctx.grid
     lam, dlam, a_rows = protocol_rows(config, params, ctx)
-    stack = ctx.stack_re + 1j * ctx.stack_im
-    omega_c = config.model.omega
-
-    # total Hamiltonians, windowed and sequential evolutions at the three frequencies
-    h_tot_dense, psi_win, psi_seq = {}, {}, {}
-    for omega in ctx.omegas:
-        ctrl, rows = hamiltonian_rows(ctx, omega, lam[:, None], dlam[:, None], a_rows)
-        h_tot_dense[omega] = dense_rows(rows, stack, dim)
-        psi_col, props = evolve_windowed(
-            ctx.psi0[:, None], h_tot_dense[omega], grid, ctx.plan, config.order
-        )
-        psi_win[omega] = psi_col[:, 0]
-        seq = evolve_sequential(
-            ctx.psi0, h_tot_dense[omega], grid, want_prefix=(omega == omega_c)
-        )
-        psi_seq[omega] = seq.psi_final
-        if omega == omega_c:
-            ctrl_dense = dense_rows(ctrl, stack, dim)
-            props_central = props
-            seq_central = seq
+    prop = propagate_sequential(ctx, lam, dlam, a_rows, want_prefix=True)
+    _, f_q_win, props_central = propagate_windowed(ctx, prop.h_dense, ctx.plan, config.order)
+    seq_central, h_central = prop.central, prop.h_dense[0]
 
     spec = config.model
     sens_rows = lam[:, None] * sensitivity_direction_rows(spec, ctx.basis, grid.times)
-    sens_dense = dense_rows(sens_rows, stack, dim)
+    sens_dense = dense_rows(sens_rows, ctx.stack, ctx.dim)
 
-    w0, wp, wm = ctx.omegas
-    dw = config.delta_omega
-    f_q_seq = qfi_from_states(psi_seq[w0], psi_seq[wp], psi_seq[wm], dw)
-    f_q_win = qfi_from_states(psi_win[w0], psi_win[wp], psi_win[wm], dw)
-    f_q_max = qfi_max_bound(lam * ctx.gap_direction, grid)
+    f_q_max = prop.f_q_max
     eta_defined = f_q_max > 1e-30
-    eta_seq = f_q_seq / f_q_max if eta_defined else None
+    eta_seq = prop.f_q / f_q_max if eta_defined else None
     eta_win = f_q_win / f_q_max if eta_defined else None
     eps_eta = abs(eta_win - eta_seq) if eta_defined else None
 
@@ -482,24 +517,22 @@ def evaluate_protocol(
         )
     else:
         pair_eval = ctx.pair_terminal
-    block = fidelity_block(psi_seq[w0], pair_eval)
+    block = fidelity_block(seq_central.psi_final, pair_eval)
 
-    schr, schr_flag = schrodinger_residual(
-        seq_central.states, h_tot_dense[omega_c], grid
-    )
+    schr, schr_flag = schrodinger_residual(seq_central.states, h_central, grid)
     uni = unitarity_error(props_central)
     qfi_gen = qfi_via_generator(
         seq_central.prefix_ops, sens_dense, grid, ctx.psi0,
-        h_samples=h_tot_dense[omega_c],
+        h_samples=h_central,
     )
 
-    pairs = [extremal_pair(mat) for mat in sens_dense]
+    pairs = extremal_pairs(sens_dense)
     p_ext = extremal_subspace_trace(seq_central.states, pairs)
     sx = sx_operator(spec.q)
     report = MetricsReport(
         eta=eta_seq,
         eta_windowed=eta_win,
-        f_q=f_q_seq,
+        f_q=prop.f_q,
         f_q_max=f_q_max,
         fidelity=block.fidelity,
         p_min=block.p_min,
@@ -516,9 +549,11 @@ def evaluate_protocol(
         times=grid.times.tolist(),
         p_ext_trace=p_ext.tolist(),
         p_ext_degenerate=[p.degenerate for p in pairs],
-        mismatch_control=symmetry_mismatch(ctrl_dense, sx).tolist(),
+        mismatch_control=symmetry_mismatch(
+            dense_rows(prop.ctrl_rows, ctx.stack, ctx.dim), sx
+        ).tolist(),
         mismatch_sensitivity=symmetry_mismatch(sens_dense, sx).tolist(),
-        mismatch_total=symmetry_mismatch(h_tot_dense[omega_c], sx).tolist(),
+        mismatch_total=symmetry_mismatch(h_central, sx).tolist(),
     )
     traces = {
         "times": grid.times,

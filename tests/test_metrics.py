@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from cdqfi.config import RunConfig
 from cdqfi.magnus import TimeGrid, evolve_sequential
 from cdqfi.metrics import (
     ExtremalPair,
     extremal_pair,
+    extremal_pairs,
     extremal_subspace_trace,
     fidelity_block,
     gap_series,
@@ -18,6 +20,9 @@ from cdqfi.metrics import (
     symmetry_mismatch,
     unitarity_error,
 )
+from cdqfi.models import ModelSpec, sensitivity_direction_rows
+from cdqfi.schedule import reference_schedule
+from cdqfi.trainer import build_context, dense_rows
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -37,6 +42,25 @@ def random_pair(dim, rng):
 def random_hermitian(n, rng):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2
+
+
+def sensitivity_stack(kind):
+    """(n, d, d) stacks for the batched eigensolve: the schedule-scaled
+    sensitivity operators of a context, or random Hermitian matrices of which
+    one has a twofold lowest level."""
+    if kind == "random":
+        rng = np.random.default_rng(21)
+        mats = np.stack([random_hermitian(6, rng) for _ in range(7)])
+        u = np.linalg.qr(random_hermitian(6, rng))[0]
+        mats[3] = u @ np.diag([-1.0, -1.0, 0.2, 0.5, 1.1, 2.0]) @ u.conj().T
+        return mats
+    q = int(kind[1:])
+    ctx = build_context(RunConfig(model=ModelSpec("nearest-neighbor", q), basis_k=q))
+    times = ctx.grid.times
+    rows = reference_schedule(times)[0][:, None] * sensitivity_direction_rows(
+        ctx.config.model, ctx.basis, times
+    )
+    return dense_rows(rows, ctx.stack, ctx.dim)
 
 
 class TestExtremalPair:
@@ -113,6 +137,20 @@ class TestExtremalPair:
         pair = extremal_pair(m)
         assert not pair.degenerate
         assert pair.gap == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["q2", "q4", "random"])
+    def test_batched_bitwise_equal_to_per_matrix(self, kind):
+        mats = sensitivity_stack(kind)
+        batched = extremal_pairs(mats)
+        assert len(batched) == len(mats)
+        flags = [pair.degenerate for pair in batched]
+        assert any(flags) and not all(flags)
+        for mat, got in zip(mats, batched):
+            want = extremal_pair(mat)
+            assert (got.val_min, got.val_max) == (want.val_min, want.val_max)
+            np.testing.assert_array_equal(got.vec_min, want.vec_min)
+            np.testing.assert_array_equal(got.vec_max, want.vec_max)
+            assert got.degenerate == want.degenerate
 
     def test_degenerate_extremal_level_flagged(self):
         u = np.linalg.qr(random_hermitian(3, np.random.default_rng(2)))[0]

@@ -5,12 +5,14 @@ import pytest
 
 from cdqfi.config import RunConfig
 from cdqfi.models import ModelSpec
+from cdqfi.network import init_params
 from cdqfi.studies import (
     fitted_order,
     magnus_study,
     output_memory_gib,
     scalability_report,
 )
+from cdqfi.trainer import build_context, evaluate_protocol
 
 
 def study_config(**kw):
@@ -50,6 +52,15 @@ class TestMagnusStudy:
     def test_eta_error_small_for_zero_agp_reference(self):
         rows = magnus_study(study_config(n_t=256), [16], [3])
         assert rows[0].eta_error <= 1e-3
+
+    def test_matches_evaluation_at_the_config_plan(self):
+        # the study and the evaluation share one propagation of the protocol
+        cfg = study_config(seed=11)
+        params = init_params(build_context(cfg).shape, cfg.seed)
+        report, _ = evaluate_protocol(cfg, params)
+        rows = magnus_study(cfg, [cfg.n_w], [cfg.order], params)
+        assert report.eps_eta > 0.0
+        assert rows[0].eta_error == report.eps_eta
 
 
 class TestScalability:
