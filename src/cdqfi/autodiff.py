@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over real numpy tensors.
 
 Closure-per-node tape in the micrograd style, generalized to ndarrays with
-broadcasting, batched matmul, segment-sum bilinear contractions, and a
-complex layer (CTensor) that stores real/imaginary parts as two real nodes
-so every gradient stays real.  Graph construction is eager; a node only
-carries a backward closure when one of its parents requires gradients, so
-constant subgraphs cost nothing in the backward pass.
+broadcasting, batched matmul and segment-sum bilinear contractions.  Every
+node is real; complex quantities live outside the tape, inside nodes with a
+hand-written reverse rule (`custom_node`), such as the windowed propagation,
+whose real output carries real and imaginary parts side by side.  Graph
+construction is eager; a node only carries a backward closure when one of
+its parents requires gradients, so constant subgraphs cost nothing in the
+backward pass.
 """
 
 from __future__ import annotations
@@ -209,18 +211,6 @@ class Tensor:
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def cumsum(self, axis):
-        out = Tensor(self.data.cumsum(axis=axis))
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-
-            def bw(g, a=self, axis=axis):
-                rev = np.flip(g, axis=axis)
-                a._acc(np.flip(rev.cumsum(axis=axis), axis=axis))
-
-            out._backward = bw
-        return out
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -228,13 +218,6 @@ class Tensor:
         if self.needs:
             out.needs, out._prev = True, (self,)
             out._backward = lambda g, a=self: a._acc(g.reshape(a.shape))
-        return out
-
-    def swapaxes(self, i, j):
-        out = Tensor(self.data.swapaxes(i, j))
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-            out._backward = lambda g, a=self, i=i, j=j: a._acc(g.swapaxes(i, j))
         return out
 
     def __getitem__(self, idx):
@@ -252,6 +235,24 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
+
+
+def custom_node(data, parents, vjp) -> Tensor:
+    """A node computed outside the tape, with a hand-written reverse rule:
+    vjp(g) returns one cotangent per parent, in order (entries for parents
+    that need no gradient are ignored)."""
+    out = Tensor(data)
+    parents = tuple(parents)
+    if any(p.needs for p in parents):
+        out.needs, out._prev = True, parents
+
+        def bw(g, parents=parents, vjp=vjp):
+            for p, gp in zip(parents, vjp(g)):
+                if p.needs:
+                    p._acc(gp)
+
+        out._backward = bw
+    return out
 
 
 def backward(out: Tensor):
@@ -383,122 +384,8 @@ class BilinearScatter:
         return self._gy.contract(g, x, self.in_size)
 
     def __call__(self, x: Tensor, y: Tensor) -> Tensor:
-        out = Tensor(self.apply(x.data, y.data))
-        if x.needs or y.needs:
-            out.needs, out._prev = True, (x, y)
+        def vjp(g, table=self):
+            return (table.grad_x(g, y.data) if x.needs else None,
+                    table.grad_y(g, x.data) if y.needs else None)
 
-            def bw(g, a=x, b=y, table=self):
-                if a.needs:
-                    a._acc(table.grad_x(g, b.data))
-                if b.needs:
-                    b._acc(table.grad_y(g, a.data))
-
-            out._backward = bw
-        return out
-
-
-class CTensor:
-    """Complex tensor as a (real, imaginary) pair of Tensor nodes.
-
-    Mirrors the ndarray surface used by the propagation code (conj,
-    swapaxes, reshape, cumsum, sum, matmul, indexing) so the same Magnus
-    routines run on numpy complex arrays and on the tape.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Tensor, im: Tensor):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def const(z) -> "CTensor":
-        z = np.asarray(z, dtype=np.complex128)
-        return CTensor(Tensor.const(z.real.copy()), Tensor.const(z.imag.copy()))
-
-    @property
-    def shape(self):
-        return self.re.shape
-
-    def value(self) -> np.ndarray:
-        return self.re.data + 1j * self.im.data
-
-    def __add__(self, other):
-        if isinstance(other, CTensor):
-            return CTensor(self.re + other.re, self.im + other.im)
-        other = complex(other)
-        return CTensor(self.re + other.real, self.im + other.imag)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CTensor(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, CTensor):
-            return CTensor(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, Tensor):  # real factor
-            return CTensor(self.re * other, self.im * other)
-        c = complex(other)
-        if c.imag == 0.0:
-            return CTensor(self.re * c.real, self.im * c.real)
-        if c.real == 0.0:
-            return CTensor(self.im * (-c.imag), self.re * c.imag)
-        return CTensor(
-            self.re * c.real - self.im * c.imag,
-            self.re * c.imag + self.im * c.real,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return CTensor(self.re / other, self.im / other)
-        c = complex(other)
-        return self * (1.0 / c)
-
-    def __matmul__(self, other):
-        assert isinstance(other, CTensor)
-        return CTensor(
-            self.re @ other.re - self.im @ other.im,
-            self.re @ other.im + self.im @ other.re,
-        )
-
-    def conj(self):
-        return CTensor(self.re, -self.im)
-
-    def swapaxes(self, i, j):
-        return CTensor(self.re.swapaxes(i, j), self.im.swapaxes(i, j))
-
-    def reshape(self, *shape):
-        return CTensor(self.re.reshape(*shape), self.im.reshape(*shape))
-
-    def cumsum(self, axis):
-        return CTensor(self.re.cumsum(axis), self.im.cumsum(axis))
-
-    def sum(self, axis=None, keepdims=False):
-        return CTensor(
-            self.re.sum(axis=axis, keepdims=keepdims),
-            self.im.sum(axis=axis, keepdims=keepdims),
-        )
-
-    def __getitem__(self, idx):
-        return CTensor(self.re[idx], self.im[idx])
-
-    def abs2(self) -> Tensor:
-        return self.re * self.re + self.im * self.im
-
-
-def vdot(a: CTensor, b: CTensor) -> CTensor:
-    """<a|b> = sum(conj(a) * b) over all elements."""
-    p = a.conj() * b
-    return CTensor(p.re.sum(), p.im.sum())
+        return custom_node(self.apply(x.data, y.data), (x, y), vjp)

@@ -81,24 +81,6 @@ def qfi_from_states(
     )
 
 
-def qfi_central_diff(evolve, omega: float, delta_omega: float):
-    """Information figure of merit from three evolutions at omega, omega +- delta.
-
-    evolve(omega) -> final state (d,), identical parameters and schedule for
-    all three calls; the phase-projection subtraction uses the central state.
-    """
-    if delta_omega <= 0:
-        raise ValueError("delta_omega must be positive")
-    psi_c = np.asarray(evolve(omega))
-    psi_p = np.asarray(evolve(omega + delta_omega))
-    psi_m = np.asarray(evolve(omega - delta_omega))
-    for psi in (psi_c, psi_p, psi_m):
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-            raise ValueError("evolved state is not normalized")
-    fq = qfi_from_states(psi_c, psi_p, psi_m, delta_omega)
-    return fq, (psi_c, psi_p, psi_m)
-
-
 def gap_series(dh_samples: np.ndarray) -> np.ndarray:
     """Extremal eigenvalue gap of the sensitivity operator at every grid time."""
     vals = np.linalg.eigvalsh(dh_samples)
@@ -239,15 +221,11 @@ def symmetry_mismatch(op_samples: np.ndarray, sx: np.ndarray) -> np.ndarray:
 
     Zero-norm operators report 0 (nothing to mismatch).
     """
-    sx_norm = np.linalg.norm(sx)
-    out = np.empty(op_samples.shape[0])
-    for j, op in enumerate(op_samples):
-        op_norm = np.linalg.norm(op)
-        if op_norm <= 1e-30:
-            out[j] = 0.0
-            continue
-        comm = op @ sx - sx @ op
-        out[j] = np.linalg.norm(comm) / (op_norm * sx_norm)
+    op_norm = np.linalg.norm(op_samples, axis=(-2, -1))
+    comm_norm = np.linalg.norm(op_samples @ sx - sx @ op_samples, axis=(-2, -1))
+    out = np.zeros(op_samples.shape[0])
+    live = op_norm > 1e-30
+    out[live] = comm_norm[live] / (op_norm[live] * np.linalg.norm(sx))
     return out
 
 

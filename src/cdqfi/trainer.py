@@ -1,9 +1,13 @@
 """Experiment orchestration: seeded training, paired baselines, evaluation.
 
 One epoch assembles the whole pipeline on the tape: network forward over the
-full grid, constrained schedule, gauge-potential rows, dense total
-Hamiltonians at the working frequency and its two finite-difference
-neighbors, windowed Magnus propagation, and the causality-weighted loss.
+full grid, constrained schedule, gauge-potential rows, the stationarity and
+regularizer contractions, and the causality-weighted loss.  The total
+Hamiltonian rows at the working frequency and its two finite-difference
+neighbors enter one tape node (`propagation_node`), which materializes and
+propagates all three in complex numpy with the code evaluation runs, and
+has a hand-written reverse pass.  The terminal overlaps and F_Q are then
+formed on the real and imaginary parts of its three final states.
 The causality weights and the spectral-gap normalizer are computed from the
 current epoch's concrete values and enter backward as constants.
 """
@@ -18,11 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import BilinearScatter, CTensor, Tensor, backward, vdot
+from .autodiff import BilinearScatter, Tensor, backward, custom_node
 from .config import RunConfig
 from .magnus import (
     SequentialResult,
     TimeGrid,
+    WindowedEvolution,
     WindowPlan,
     evolve_sequential,
     evolve_windowed,
@@ -77,8 +82,6 @@ class TrainingContext:
     init_row: np.ndarray  # (M,)
     dctrl_rows: dict  # omega key -> (T, M): final(t) - initial
     stack: np.ndarray  # (M, d*d) complex
-    stack_re: np.ndarray  # its real and imaginary parts, for the tape
-    stack_im: np.ndarray
     el_table: BilinearScatter
     reg_table: BilinearScatter | None
     psi0: np.ndarray  # (d,)
@@ -161,8 +164,6 @@ def build_context(config: RunConfig) -> TrainingContext:
         init_row=ini,
         dctrl_rows=dctrl,
         stack=stack,
-        stack_re=np.ascontiguousarray(stack.real),
-        stack_im=np.ascontiguousarray(stack.imag),
         el_table=el_table,
         reg_table=reg_table,
         psi0=psi0,
@@ -187,10 +188,30 @@ def dense_rows(rows: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
     return (rows @ stack).reshape(-1, dim, dim)
 
 
-def _dense_ct(ctx: TrainingContext, rows: Tensor) -> CTensor:
-    re = (rows @ Tensor.const(ctx.stack_re)).reshape(ctx.grid.n_t, ctx.dim, ctx.dim)
-    im = (rows @ Tensor.const(ctx.stack_im)).reshape(ctx.grid.n_t, ctx.dim, ctx.dim)
-    return CTensor(re, im)
+def propagation_node(ctx: TrainingContext, rows) -> Tensor:
+    """Windowed final states at the three frequencies of `ctx.omegas`, from
+    their (n_t, M) total-Hamiltonian row tensors, as one (3, d, 2) node of
+    real and imaginary parts.
+
+    The forward pass is `propagate_windowed`'s: dense materialization, then
+    one windowed evolution per frequency.  The reverse pass is
+    `WindowedEvolution.vjp`, then Re(G_H stack^H) back to the rows.
+    """
+    evolutions = [
+        WindowedEvolution(
+            ctx.psi0[:, None], dense_rows(r.data, ctx.stack, ctx.dim),
+            ctx.grid, ctx.plan, ctx.config.order,
+        )
+        for r in rows
+    ]
+    psi = np.stack([e.final[:, 0] for e in evolutions])
+
+    def vjp(g, evolutions=evolutions, stack=ctx.stack):
+        g_psi = g[..., 0] + 1j * g[..., 1]
+        g_h = np.stack([e.vjp(gp[:, None]) for e, gp in zip(evolutions, g_psi)])
+        return (g_h.reshape(*g_h.shape[:2], -1) @ stack.conj().T).real
+
+    return custom_node(np.stack([psi.real, psi.imag], axis=-1), rows, vjp)
 
 
 def schedule_on_tape(ctx: TrainingContext, leaves):
@@ -252,28 +273,29 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
     eta_val = None
     terms = None
     if terminal_active:
-        psis = {}
-        psi0_ct = CTensor.const(ctx.psi0[:, None])
-        for omega in ctx.omegas:
-            if omega == omega_c:
-                rows = h_tot
-            else:
-                _, rows = hamiltonian_rows(ctx, omega, lam_col, dlam_col, a_rows)
-            h_ct = _dense_ct(ctx, rows)
-            psis[omega], _ = evolve_windowed(psi0_ct, h_ct, ctx.grid, ctx.plan, cfg.order)
-        w0, wp, wm = ctx.omegas
-        dpsi = (psis[wp] - psis[wm]) * (1.0 / (2.0 * cfg.delta_omega))
-        fq = (vdot(dpsi, dpsi).re - vdot(psis[w0], dpsi).abs2()) * 4.0
+        rows = [h_tot] + [
+            hamiltonian_rows(ctx, omega, lam_col, dlam_col, a_rows)[1]
+            for omega in ctx.omegas[1:]
+        ]
+        psi = propagation_node(ctx, rows)
+        psi_c = psi[0]
+        dpsi = (psi[1] - psi[2]) * (1.0 / (2.0 * cfg.delta_omega))
+        # states are (d, 2) columns of real and imaginary parts: <psi|dpsi>
+        ov_re = (psi_c * dpsi).sum()
+        ov_im = (psi_c[:, 0] * dpsi[:, 1] - psi_c[:, 1] * dpsi[:, 0]).sum()
+        fq = ((dpsi * dpsi).sum() - (ov_re * ov_re + ov_im * ov_im)) * 4.0
         if f_q_max <= 1e-30:
             raise ValueError("degenerate protocol: vanishing sensitivity bound")
         eta = fq * (1.0 / f_q_max)
-        c_min = vdot(CTensor.const(ctx.pair_terminal.vec_min[:, None]), psis[w0])
-        c_max = vdot(CTensor.const(ctx.pair_terminal.vec_max[:, None]), psis[w0])
-        p_min = c_min.abs2()
-        p_max = c_max.abs2()
+        # <v|psi> for v = vec_min, vec_max from one product with Re v and Im v
+        v = np.stack([ctx.pair_terminal.vec_min, ctx.pair_terminal.vec_max])
+        m = Tensor.const(np.concatenate([v.real, v.imag])) @ psi_c
+        c_re, c_im = m[:2, 0] + m[2:, 1], m[:2, 1] - m[2:, 0]
+        p = c_re * c_re + c_im * c_im
+        p_min, p_max = p[0], p[1]
         balance = (p_min * p_max) * 4.0
         cross = (p_min * p_max + 1e-24).sqrt()
-        cos_dphi = (c_max.re * c_min.re + c_max.im * c_min.im) / cross
+        cos_dphi = (c_re[0] * c_re[1] + c_im[0] * c_im[1]) / cross
         eta_val = float(eta.data)
         terms = terminal_losses(eta, cos_dphi, balance)
 

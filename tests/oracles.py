@@ -1,0 +1,37 @@
+"""Reference implementations that tests compare the program against."""
+
+import numpy as np
+
+from cdqfi.metrics import qfi_from_states
+
+
+def qfi_central_diff(evolve, omega: float, delta_omega: float):
+    """Information figure of merit from three evolutions at omega, omega +- delta.
+
+    evolve(omega) -> final state (d,), identical parameters and schedule for
+    all three calls; the phase-projection subtraction uses the central state.
+    """
+    if delta_omega <= 0:
+        raise ValueError("delta_omega must be positive")
+    psi_c = np.asarray(evolve(omega))
+    psi_p = np.asarray(evolve(omega + delta_omega))
+    psi_m = np.asarray(evolve(omega - delta_omega))
+    for psi in (psi_c, psi_p, psi_m):
+        if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+            raise ValueError("evolved state is not normalized")
+    fq = qfi_from_states(psi_c, psi_p, psi_m, delta_omega)
+    return fq, (psi_c, psi_p, psi_m)
+
+
+def symmetry_mismatch_loop(op_samples: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """`metrics.symmetry_mismatch`, one time sample at a time."""
+    sx_norm = np.linalg.norm(sx)
+    out = np.empty(op_samples.shape[0])
+    for j, op in enumerate(op_samples):
+        op_norm = np.linalg.norm(op)
+        if op_norm <= 1e-30:
+            out[j] = 0.0
+            continue
+        comm = op @ sx - sx @ op
+        out[j] = np.linalg.norm(comm) / (op_norm * sx_norm)
+    return out

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cdqfi.autodiff import CTensor, Tensor, backward
 from cdqfi.magnus import (
-    SequentialResult,
     TimeGrid,
+    WindowedEvolution,
     WindowPlan,
     evolve_sequential,
     evolve_windowed,
     expm_taylor,
     omega_window,
     truncation_error_bound,
-    window_propagators,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -263,68 +261,105 @@ class TestBound:
             truncation_error_bound(1.0, 4, 5)
 
 
+def max_norm(mats):
+    return np.linalg.norm(mats, axis=(-2, -1)).max()
+
+
+def min_norm(mats):
+    return np.linalg.norm(mats, axis=(-2, -1)).min()
+
+
+def directional_fd(loss, h, direction, d=1e-6):
+    return (loss(h + d * direction) - loss(h - d * direction)) / (2 * d)
+
+
+def vjp_directional(evolution, g_final, direction):
+    """<cotangent, direction> for a Hermitian direction of the samples."""
+    g = evolution.vjp(g_final)
+    return float(np.sum(g.real * direction.real + g.imag * direction.imag))
+
+
 class TestDifferentiableEvolution:
     def test_tape_path_matches_numpy_path(self):
+        # the evolution the training node keeps for its reverse pass matches
+        # evaluation's evolve_windowed bit for bit, squarings included
         grid = TimeGrid(32)
         plan = WindowPlan(32, 4)
         rng = np.random.default_rng(10)
-        h = smooth_hamiltonian_samples(grid, rng)
-        psi0 = np.zeros(4, dtype=complex)
+        h = smooth_hamiltonian_samples(grid, rng) * 9
+        psi0 = np.zeros((4, 1), dtype=complex)
         psi0[0] = 1.0
-        psi_np, props_np = evolve_windowed(psi0[:, None], h, grid, plan, 3)
-        hc = CTensor.const(h)
-        psi_ct, props_ct = evolve_windowed(CTensor.const(psi0[:, None]), hc, grid, plan, 3)
-        np.testing.assert_allclose(psi_ct.value(), psi_np, atol=1e-14)
-        np.testing.assert_allclose(props_ct.value(), props_np, atol=1e-14)
+        evolution = WindowedEvolution(psi0, h, grid, plan, 3)
+        psi, props = evolve_windowed(psi0, h, grid, plan, 3)
+        assert min_norm(evolution.omegas) > 1.0
+        assert np.array_equal(evolution.props, props)
+        assert np.array_equal(evolution.final, psi)
 
     def test_gradient_through_expm_series_dim16(self):
-        # trace-like scalar of exp(Omega(theta)) vs finite differences
+        # one window of one live step is a single exponential exp(-i dt H0);
+        # the norm needs squarings, so the reverse squaring runs too
+        grid = TimeGrid(2)
+        plan = WindowPlan(2, 1)
         rng = np.random.default_rng(12)
-        base = rng.standard_normal((16, 16)) * 0.3
-        direction = rng.standard_normal((16, 16)) * 0.3
+        h = random_hermitian_stack(2, 16, rng) * 3.0
+        direction = random_hermitian_stack(2, 16, rng)
+        psi0 = (rng.standard_normal((16, 1)) + 1j * rng.standard_normal((16, 1))) / 4
+        target = rng.standard_normal((16, 1)) + 1j * rng.standard_normal((16, 1))
 
-        def value(theta_val):
-            return float(np.trace(expm_taylor(
-                (base + theta_val * direction).astype(complex)
-            )).real)
+        def loss(hh):
+            psi = WindowedEvolution(psi0, hh, grid, plan, 1).final
+            return float(np.abs(np.vdot(target, psi)) ** 2)
 
-        theta = Tensor.leaf(np.array(0.2))
-        x = CTensor(
-            Tensor.const(base) + theta * Tensor.const(direction),
-            Tensor.const(np.zeros((16, 16))),
-        )
-        e = expm_taylor(x)
-        out = e.re[np.arange(16), np.arange(16)].sum()
-        backward(out)
-        d = 1e-5
-        fd = (value(0.2 + d) - value(0.2 - d)) / (2 * d)
-        np.testing.assert_allclose(theta.grad, fd, rtol=1e-5)
+        evolution = WindowedEvolution(psi0, h, grid, plan, 1)
+        assert max_norm(evolution.omegas) > 1.0
+        g_final = 2 * np.vdot(target, evolution.final) * target
+        fd = directional_fd(loss, h, direction)
+        ana = vjp_directional(evolution, g_final, direction)
+        np.testing.assert_allclose(ana, fd, rtol=1e-6)
 
     def test_gradient_through_propagation_matches_fd(self):
-        # d/dtheta of |<target| exp-evolution(theta) |psi0>|^2
+        # d/dtheta of |<target| evolution(base + theta direction) |psi0>|^2
         grid = TimeGrid(8)
         plan = WindowPlan(8, 2)
         rng = np.random.default_rng(11)
         base = smooth_hamiltonian_samples(grid, rng, d=2)
-        direction = random_hermitian_stack(1, 2, rng)[0]
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-        target = np.array([0.6, 0.8j], dtype=complex)
+        direction = np.broadcast_to(random_hermitian_stack(1, 2, rng), base.shape)
+        psi0 = np.array([[1.0], [0.0]], dtype=complex)
+        target = np.array([[0.6], [0.8j]], dtype=complex)
 
-        def loss_value(theta_val):
-            h = base + theta_val * direction[None]
-            psi, _ = evolve_windowed(psi0[:, None], h, grid, plan, 3)
-            return float(np.abs(np.vdot(target, psi[:, 0])) ** 2)
+        def loss(h):
+            psi = WindowedEvolution(psi0, h, grid, plan, 3).final
+            return float(np.abs(np.vdot(target, psi)) ** 2)
 
-        theta = Tensor.leaf(np.array(0.3))
-        h_ct = CTensor(
-            Tensor.const(base.real) + theta * Tensor.const(np.broadcast_to(direction.real, base.shape).copy()),
-            Tensor.const(base.imag) + theta * Tensor.const(np.broadcast_to(direction.imag, base.shape).copy()),
-        )
-        psi, _ = evolve_windowed(CTensor.const(psi0[:, None]), h_ct, grid, plan, 3)
-        tgt = CTensor.const(target[:, None])
-        ov = (tgt.conj() * psi).sum()
-        out = ov.abs2()
-        backward(out)
-        d = 1e-6
-        fd = (loss_value(0.3 + d) - loss_value(0.3 - d)) / (2 * d)
-        np.testing.assert_allclose(theta.grad, fd, rtol=1e-6, atol=1e-10)
+        h = base + 0.3 * direction
+        evolution = WindowedEvolution(psi0, h, grid, plan, 3)
+        g_final = 2 * np.vdot(target, evolution.final) * target
+        fd = directional_fd(loss, h, direction)
+        ana = vjp_directional(evolution, g_final, direction)
+        np.testing.assert_allclose(ana, fd, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [0.2, 6.0])
+    def test_vjp_matches_central_differences(self, p, scale):
+        # a loss of the final state on a grid whose last window has one live
+        # step fewer; at the larger scale every window exponential squares
+        grid = TimeGrid(12)
+        plan = WindowPlan(12, 3)
+        rng = np.random.default_rng(20 + p)
+        h = random_hermitian_stack(12, 3, rng) * scale
+        direction = random_hermitian_stack(12, 3, rng)
+        psi0 = np.array([[0.6], [0.0], [0.8j]])
+        weights = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+
+        def loss(hh):
+            final = WindowedEvolution(psi0, hh, grid, plan, p).final
+            return float(np.sum((weights.conj() * final).real) + np.sum(np.abs(final) ** 4))
+
+        evolution = WindowedEvolution(psi0, h, grid, plan, p)
+        final = evolution.final
+        g_final = weights + 4 * np.abs(final) ** 2 * final
+        if scale > 1:
+            assert min_norm(evolution.omegas) > 1.0
+        fd = directional_fd(loss, h, direction)
+        ana = vjp_directional(evolution, g_final, direction)
+        np.testing.assert_allclose(ana, fd, rtol=1e-7, atol=1e-9)

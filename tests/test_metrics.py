@@ -12,7 +12,6 @@ from cdqfi.metrics import (
     extremal_subspace_trace,
     fidelity_block,
     gap_series,
-    qfi_central_diff,
     qfi_max_bound,
     qfi_via_generator,
     schrodinger_residual,
@@ -23,6 +22,7 @@ from cdqfi.metrics import (
 from cdqfi.models import ModelSpec, sensitivity_direction_rows
 from cdqfi.schedule import reference_schedule
 from cdqfi.trainer import build_context, dense_rows
+from oracles import qfi_central_diff, symmetry_mismatch_loop
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -407,6 +407,18 @@ class TestDiagnostics:
         sx = sx_operator(1)
         ops = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)])
         np.testing.assert_allclose(symmetry_mismatch(ops, sx), [0.0, 0.0], atol=1e-15)
+
+    def test_symmetry_mismatch_matches_loop_oracle(self):
+        rng = np.random.default_rng(10)
+        for q in (1, 2, 3):
+            d = 2**q
+            ops = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
+            ops = ops + ops.conj().swapaxes(-1, -2)
+            ops[7] = 0.0
+            ops[11] = sx_operator(q)
+            got = symmetry_mismatch(ops, sx_operator(q))
+            want = symmetry_mismatch_loop(ops, sx_operator(q))
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_gap_series_constant(self):
         dh = np.broadcast_to(0.3 * Z, (7, 2, 2)).copy()

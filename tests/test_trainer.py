@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from cdqfi.autodiff import Tensor
+from cdqfi.autodiff import Tensor, backward
 from cdqfi.config import RunConfig
+from cdqfi.magnus import WindowedEvolution, evolve_windowed
 from cdqfi.models import ModelSpec
 from cdqfi.pauli import OperatorCoeffs, el_residual_coeffs
 from cdqfi.physloss import (
@@ -18,6 +19,7 @@ from cdqfi.physloss import (
 )
 from cdqfi.trainer import (
     build_context,
+    dense_rows,
     epoch_forward,
     evaluate_checkpoint,
     evaluate_protocol,
@@ -25,6 +27,10 @@ from cdqfi.trainer import (
     load_checkpoint,
     loss_and_grads,
     baseline_reference,
+    propagate_sequential,
+    propagate_windowed,
+    propagation_node,
+    protocol_rows,
     save_checkpoint,
     train,
 )
@@ -98,38 +104,63 @@ class TestContext:
             np.testing.assert_allclose(reg_rows[t - 1], reg, rtol=1e-12)
 
 
+def check_loss_gradient(cfg, seed=3, d=1e-5, richardson=False):
+    """Tape gradient of the total loss against central differences of step d,
+    with the causality weights and gap normalizer frozen; returns those
+    weights.  `richardson` combines steps d and d/2 so that their h^2 errors
+    cancel, which allows a larger step."""
+    ctx = build_context(cfg)
+    params = init_params(ctx.shape, seed)
+    result, grads = loss_and_grads(ctx, params)
+    frozen = result.frozen
+
+    def central(name, idx, step):
+        up = {k: v.copy() for k, v in params.items()}
+        dn = {k: v.copy() for k, v in params.items()}
+        up[name][idx] += step
+        dn[name][idx] -= step
+        return (
+            epoch_forward(ctx, up, frozen).total.data
+            - epoch_forward(ctx, dn, frozen).total.data
+        ) / (2 * step)
+
+    rng = np.random.default_rng(0)
+    names = list(params)
+    checked = 0
+    for _ in range(6):
+        name = names[rng.integers(len(names))]
+        if params[name].size == 0:
+            continue
+        idx = np.unravel_index(rng.integers(params[name].size), params[name].shape)
+        fd = central(name, idx, d)
+        if richardson:
+            fd = (4.0 * central(name, idx, d / 2) - fd) / 3.0
+        ana = grads[name][idx]
+        # relative tolerance plus the central-difference cancellation
+        # floor (~eps * loss / delta) for near-zero gradients
+        tol = 1e-4 * max(abs(fd), abs(ana)) + 1e-9
+        assert abs(fd - ana) <= tol, (name, idx, fd, ana)
+        checked += 1
+    assert checked >= 4
+    return frozen["weights"]
+
+
 class TestGradients:
     def test_full_loss_matches_finite_differences(self):
         cfg = tiny_config(n_t=8, n_w=2, lambda_hidden=(2, 2, 2),
                           agp_hidden=(2,) * 6, weights=LossWeights(eps_t=1.0))
-        ctx = build_context(cfg)
-        params = init_params(ctx.shape, 3)
-        result, grads = loss_and_grads(ctx, params)
-        frozen = result.frozen
-        rng = np.random.default_rng(0)
-        names = list(params)
-        checked = 0
-        for _ in range(6):
-            name = names[rng.integers(len(names))]
-            if params[name].size == 0:
-                continue
-            idx = np.unravel_index(rng.integers(params[name].size), params[name].shape)
-            d = 1e-5
-            up = {k: v.copy() for k, v in params.items()}
-            dn = {k: v.copy() for k, v in params.items()}
-            up[name][idx] += d
-            dn[name][idx] -= d
-            fd = (
-                epoch_forward(ctx, up, frozen).total.data
-                - epoch_forward(ctx, dn, frozen).total.data
-            ) / (2 * d)
-            ana = grads[name][idx]
-            # relative tolerance plus the central-difference cancellation
-            # floor (~eps * loss / delta) for near-zero gradients
-            tol = 1e-4 * max(abs(fd), abs(ana)) + 1e-9
-            assert abs(fd - ana) <= tol, (name, idx, fd, ana)
-            checked += 1
-        assert checked >= 4
+        check_loss_gradient(cfg)
+
+    def test_full_loss_matches_finite_differences_terminal_active(self):
+        # eps_t = 0 keeps the terminal weight positive, so the gradient of
+        # the propagation reaches the parameters.  F_Q is itself a central
+        # difference in omega (step 1e-6), which lifts the rounding noise of
+        # the loss to ~1e-11; a 1e-5 step would turn that into ~1e-6 of
+        # derivative, so this case takes Richardson steps of 4e-3 and 2e-3
+        cfg = tiny_config(n_t=8, n_w=2, lambda_hidden=(2, 2, 2),
+                          agp_hidden=(2,) * 6, weights=LossWeights(eps_t=0.0))
+        weights = check_loss_gradient(cfg, d=4e-3, richardson=True)
+        assert weights[-1] > 0
 
     def test_reference_mode_ignores_terminal_machinery(self):
         cfg_ref = tiny_config(weights=LossWeights(eps_t=0.0).reference_mode())
@@ -165,6 +196,77 @@ class TestGradients:
         result = epoch_forward(ctx, params)
         assert result.eta is None
         assert result.breakdown.eta_term == 0.0
+
+    def test_tape_size_guard(self, monkeypatch):
+        # one q=2 epoch builds a bounded tape: the windowed propagation is a
+        # single node, not a graph of complex matrix products
+        from cdqfi import autodiff
+
+        cfg = RunConfig(model=ModelSpec("nearest-neighbor", 2), basis_k=2)
+        ctx = build_context(cfg)
+        params = init_params(ctx.shape, cfg.seed)
+        built = [0]
+        init = autodiff.Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(autodiff.Tensor, "__init__", counted)
+        loss_and_grads(ctx, params)
+        assert 0 < built[0] <= 300
+
+
+class TestPropagationNode:
+    def test_states_match_propagate_windowed(self):
+        # the node and evaluation share one propagation: same bits
+        cfg = tiny_config(n_t=32, n_w=4)
+        ctx = build_context(cfg)
+        params = init_params(ctx.shape, 4)
+        lam, dlam, a_rows = protocol_rows(cfg, params, ctx)
+        prop = propagate_sequential(ctx, lam, dlam, a_rows, want_prefix=False)
+        rows = [
+            Tensor.const(hamiltonian_rows(ctx, w, lam[:, None], dlam[:, None], a_rows)[1])
+            for w in ctx.omegas
+        ]
+        node = propagation_node(ctx, rows).data
+        for b, h in enumerate(prop.h_dense):
+            psi, _ = evolve_windowed(ctx.psi0[:, None], h, ctx.grid, ctx.plan, 3)
+            assert np.array_equal(node[b, :, 0], psi[:, 0].real)
+            assert np.array_equal(node[b, :, 1], psi[:, 0].imag)
+        psi_c, _, _ = propagate_windowed(ctx, prop.h_dense, ctx.plan, 3)
+        assert np.array_equal(node[0, :, 0] + 1j * node[0, :, 1], psi_c)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_vjp_matches_central_differences(self, order):
+        # rows large enough that every window exponential squares; the last
+        # window of the 16-point grid has one live step fewer than the others
+        cfg = tiny_config(n_t=16, n_w=4, order=order)
+        ctx = build_context(cfg)
+        rng = np.random.default_rng(order)
+        base = [rng.standard_normal((16, ctx.basis.size)) * 8 for _ in range(3)]
+        direction = [rng.standard_normal((16, ctx.basis.size)) for _ in range(3)]
+        weights = rng.standard_normal((3, ctx.dim, 2))
+
+        def loss(rows):
+            out = propagation_node(ctx, rows)
+            return (out * Tensor.const(weights)).sum() + (out * out * out * out).sum()
+
+        leaves = [Tensor.leaf(r) for r in base]
+        backward(loss(leaves))
+        ana = sum(float((leaf.grad * v).sum()) for leaf, v in zip(leaves, direction))
+        d = 1e-6
+
+        def moved(step):
+            rows = [Tensor.const(r + step * v) for r, v in zip(base, direction)]
+            return loss(rows).item()
+
+        fd = (moved(d) - moved(-d)) / (2 * d)
+        for r in base:
+            h = dense_rows(r, ctx.stack, ctx.dim)
+            evolution = WindowedEvolution(ctx.psi0[:, None], h, ctx.grid, ctx.plan, order)
+            assert np.linalg.norm(evolution.omegas, axis=(-2, -1)).max() > 0.5
+        np.testing.assert_allclose(ana, fd, rtol=1e-6)
 
 
 class TestTrainRun:
