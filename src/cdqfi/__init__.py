@@ -12,16 +12,7 @@ from .config import RunConfig
 from .magnus import TimeGrid, WindowPlan
 from .metrics import MetricsReport
 from .models import ModelSpec
-from .pauli import (
-    OperatorBasis,
-    OperatorCoeffs,
-    PauliTerm,
-    build_basis,
-    commutator_in_basis,
-    el_residual_coeffs,
-    letter_product,
-    to_dense,
-)
+from .pauli import OperatorBasis, build_basis
 from .physloss import LossWeights
 
 __all__ = [
@@ -29,15 +20,9 @@ __all__ = [
     "MetricsReport",
     "ModelSpec",
     "OperatorBasis",
-    "OperatorCoeffs",
-    "PauliTerm",
     "RunConfig",
     "TimeGrid",
     "WindowPlan",
     "build_basis",
-    "commutator_in_basis",
-    "el_residual_coeffs",
-    "letter_product",
-    "to_dense",
     "__version__",
 ]

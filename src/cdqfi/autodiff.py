@@ -166,27 +166,18 @@ class Tensor:
             out.needs, out._prev = True, (self,)
             # the closure holds the output array, not the node: a node that its
             # own closure references is a cycle only the collector can free
-            out._backward = lambda g, a=self, y=out.data: a._acc(g * dfn(a.data, y))
+            out._backward = lambda g, a=self, y=out.data: a._acc(g * dfn(y))
         return out
 
     def tanh(self):
-        return self._unary(np.tanh(self.data), lambda x, y: 1.0 - y * y)
+        return self._unary(np.tanh(self.data), lambda y: 1.0 - y * y)
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
-        return self._unary(y, lambda x, y: y * (1.0 - y))
-
-    def exp(self):
-        return self._unary(np.exp(self.data), lambda x, y: y)
-
-    def sin(self):
-        return self._unary(np.sin(self.data), lambda x, y: np.cos(x))
-
-    def cos(self):
-        return self._unary(np.cos(self.data), lambda x, y: -np.sin(x))
+        return self._unary(y, lambda y: y * (1.0 - y))
 
     def sqrt(self):
-        return self._unary(np.sqrt(self.data), lambda x, y: 0.5 / y)
+        return self._unary(np.sqrt(self.data), lambda y: 0.5 / y)
 
     def silu(self):
         """x * sigmoid(x), the hidden-layer activation."""
@@ -232,9 +223,6 @@ class Tensor:
 
             out._backward = bw
         return out
-
-    def item(self) -> float:
-        return float(self.data.reshape(()))
 
 
 def custom_node(data, parents, vjp) -> Tensor:

@@ -100,11 +100,10 @@ def main(argv=None) -> int:
     p_mag.add_argument("--orders", default="1,2,3", help="comma list of orders")
     p_mag.add_argument("--checkpoint", type=Path, help="study a trained protocol")
 
-    p_scal = sub.add_parser("scalability", help="basis size / memory / timing report")
+    p_scal = sub.add_parser("scalability", help="basis size / output memory report")
     _add_common(p_scal)
     p_scal.add_argument("--q", default="2,3,4", help="comma list of system sizes")
     p_scal.add_argument("--k", type=int, default=4, help="locality cutoff")
-    p_scal.add_argument("--no-timing", action="store_true", help="skip wall-clock probes")
 
     args = parser.parse_args(argv)
     cfg = _load_config(args)
@@ -154,18 +153,11 @@ def main(argv=None) -> int:
 
         out = _out_dir(cfg, args, "runs/scalability")
         q_list = [int(x) for x in args.q.split(",")]
-        rows = scalability_report(
-            q_list, args.k, n_t=cfg.n_t, measure=not args.no_timing, out_dir=out
-        )
+        rows = scalability_report(q_list, args.k, n_t=cfg.n_t, out_dir=out)
         for r in rows:
-            timing = (
-                f"step={r.train_step_ms:.1f}ms inference={r.inference_ms:.2f}ms"
-                if r.train_step_ms is not None
-                else "(timing skipped)"
-            )
             print(
                 f"q={r.q} k={r.k} basis={r.basis_size} n_out={r.n_out} "
-                f"m_out={r.m_out_gib:.3e} GiB {timing}"
+                f"m_out={r.m_out_gib:.3e} GiB"
             )
         print(f"artifacts in {out}")
         return 0

@@ -46,6 +46,8 @@ class RunConfig:
             raise ValueError(f"basis_k={self.basis_k} outside [0, q]")
         if self.basis_k < 2:
             raise ValueError("pair couplings require basis_k >= 2")
+        if self.n_w < 1:
+            raise ValueError(f"n_w={self.n_w} must be at least 1")
         if self.n_t < 2 or self.n_t % self.n_w != 0:
             raise ValueError(f"n_t={self.n_t} must be divisible by n_w={self.n_w}")
         if self.order not in (1, 2, 3):

@@ -216,23 +216,18 @@ def evolve_windowed(psi0, h_samples, grid: TimeGrid, plan: WindowPlan, p: int):
     Returns (final state as a (d, 1) column, the (n_w, d, d) propagator
     stack retained for the unitarity metric).
     """
-    props = expm_taylor(omega_window(_window_samples(h_samples, grid, plan), grid.dt, p))
-    psi = psi0
-    for u in props:
-        psi = u @ psi
-    return psi, props
+    evolution = WindowedEvolution(psi0, h_samples, grid, plan, p)
+    return evolution.final, evolution.props
 
 
 class WindowedEvolution:
-    """`evolve_windowed` of one (n_t, d, d) sample stack from a (d, 1) state,
-    through the same steps, keeping what the reverse pass needs: `final`
-    holds the (d, 1) final state, `props` the (n_w, d, d) propagators.
+    """The windowed evolution of one (n_t, d, d) sample stack from a (d, 1)
+    state, keeping what the reverse pass needs: `final` holds the (d, 1)
+    final state, `props` the (n_w, d, d) propagators.
 
-    Evaluation calls `evolve_windowed`, which keeps none of this: the kept
-    intermediates slowed a q=2 magnus-study by about 5%.  Stacks are evolved
-    one at a time: batching the three frequencies of a run into one pass was
-    1.7x slower at q=4 (one BLAS thread on a 2-vCPU VM), as the larger
-    intermediates leave the cache.
+    Stacks are evolved one at a time: batching the three frequencies of a
+    run into one pass was 1.7x slower at q=4 (one BLAS thread on a 2-vCPU
+    VM), as the larger intermediates leave the cache.
     """
 
     def __init__(self, psi0: np.ndarray, h_samples: np.ndarray, grid: TimeGrid,

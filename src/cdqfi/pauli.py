@@ -1,11 +1,11 @@
 """Symbolic algebra over tensor products of Pauli operators.
 
-Operators are stored as coefficient vectors over an ordered, k-local
+Operators are stored as real coefficient rows over an ordered, k-local
 truncated basis of Pauli strings.  Products and commutators of Pauli
 strings close on single strings up to a phase, so commutators of
-coefficient vectors reduce to sparse bilinear forms; terms generated
-outside the truncated basis are projected away (their magnitude can be
-queried as a diagnostic).
+coefficient rows reduce to sparse structure-constant tables; pairs whose
+product falls outside the truncated basis are projected away and kept in
+the table for the leakage diagnostic.
 """
 
 from __future__ import annotations
@@ -51,38 +51,6 @@ _SITE_MATS = np.array(
 
 DENSE_QUBIT_CEILING = 6
 
-HERMITICITY_TOL = 1e-12
-
-
-def letter_product(a: str, b: str) -> tuple[complex, str]:
-    """Return (phase, c) with sigma_a sigma_b = phase * sigma_c."""
-    ia, ib = _CODE[a], _CODE[b]
-    return complex(_PROD_PHASE[ia, ib]), LETTERS[_PROD_LETTER[ia, ib]]
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """A Pauli string, one letter from {I,X,Y,Z} per qubit (site 0 leftmost)."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or any(c not in _CODE for c in self.letters):
-            raise ValueError(f"invalid Pauli string {self.letters!r}")
-
-    @property
-    def q(self) -> int:
-        return len(self.letters)
-
-    @property
-    def weight(self) -> int:
-        return sum(c != "I" for c in self.letters)
-
-    def codes(self) -> np.ndarray:
-        return np.frombuffer(
-            bytes(_CODE[c] for c in self.letters), dtype=np.uint8
-        ).copy()
-
 
 class OperatorBasis:
     """Ordered, deduplicated k-local Pauli-string basis for q qubits.
@@ -113,16 +81,6 @@ class OperatorBasis:
 
     def __len__(self) -> int:
         return self.size
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OperatorBasis)
-            and self.q == other.q
-            and self.k == other.k
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.k))
 
     def lookup_codes(self, codes: np.ndarray) -> np.ndarray:
         """Positions of letter-code rows (shape (n, q)); -1 if outside basis."""
@@ -172,80 +130,6 @@ def build_basis(q: int, k: int) -> OperatorBasis:
         block.sort()
         terms.extend(block)
     return OperatorBasis(q, k, terms)
-
-
-class OperatorCoeffs:
-    """Complex coefficient vector over an OperatorBasis.
-
-    Hermitian operators have real coefficients; intermediate commutator
-    results are anti-Hermitian (imaginary coefficients), so values stay
-    complex and Hermiticity is asserted at module boundaries instead.
-    """
-
-    __slots__ = ("basis", "values")
-
-    def __init__(self, basis: OperatorBasis, values=None):
-        self.basis = basis
-        if values is None:
-            self.values = np.zeros(basis.size, dtype=np.complex128)
-        else:
-            values = np.asarray(values, dtype=np.complex128)
-            if values.shape != (basis.size,):
-                raise ValueError(
-                    f"expected {basis.size} coefficients, got {values.shape}"
-                )
-            self.values = values
-
-    def copy(self) -> "OperatorCoeffs":
-        return OperatorCoeffs(self.basis, self.values.copy())
-
-    def set_term(self, letters: str, value: complex) -> "OperatorCoeffs":
-        self.values[self.basis.index[letters]] = value
-        return self
-
-    def get_term(self, letters: str) -> complex:
-        return complex(self.values[self.basis.index[letters]])
-
-    def assert_hermitian(self, tol: float = HERMITICITY_TOL):
-        worst = float(np.max(np.abs(self.values.imag), initial=0.0))
-        if worst > tol:
-            raise ValueError(f"imaginary coefficient residue {worst:.3e} > {tol:g}")
-
-    def __add__(self, other: "OperatorCoeffs") -> "OperatorCoeffs":
-        _check_same_basis(self, other)
-        return OperatorCoeffs(self.basis, self.values + other.values)
-
-    def __sub__(self, other: "OperatorCoeffs") -> "OperatorCoeffs":
-        _check_same_basis(self, other)
-        return OperatorCoeffs(self.basis, self.values - other.values)
-
-    def __mul__(self, scalar) -> "OperatorCoeffs":
-        return OperatorCoeffs(self.basis, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def to_json_dict(self) -> dict:
-        """Sparse text form: {"q","k","terms":[{"string","re","im"}]}."""
-        terms = []
-        for i in np.flatnonzero(self.values):
-            v = self.values[i]
-            terms.append(
-                {"string": self.basis.terms[i], "re": float(v.real), "im": float(v.imag)}
-            )
-        return {"q": self.basis.q, "k": self.basis.k, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OperatorCoeffs":
-        basis = build_basis(d["q"], d["k"])
-        out = cls(basis)
-        for t in d["terms"]:
-            out.values[basis.index[t["string"]]] = t["re"] + 1j * t["im"]
-        return out
-
-
-def _check_same_basis(a: OperatorCoeffs, b: OperatorCoeffs):
-    if a.basis is not b.basis and a.basis != b.basis:
-        raise ValueError("operands live on different bases")
 
 
 def string_products(
@@ -324,66 +208,3 @@ def build_commutator_table(
         dropped_jj=cat(d_jj, np.int64),
         dropped_w=cat(d_ww, np.complex128),
     )
-
-
-def commutator_in_basis(
-    A: OperatorCoeffs, B: OperatorCoeffs, with_dropped: bool = False
-):
-    """Coefficients of [A, B], projected onto the truncated basis.
-
-    Pairs producing strings of weight > k are dropped; with_dropped=True also
-    returns the summed magnitude of those projected-away contributions.
-    """
-    _check_same_basis(A, B)
-    basis = A.basis
-    ai = np.flatnonzero(A.values)
-    bj = np.flatnonzero(B.values)
-    out = OperatorCoeffs(basis)
-    dropped = 0.0
-    if len(ai) and len(bj):
-        table = build_commutator_table(basis, ai, bj)
-        vals = table.w * A.values[table.ii] * B.values[table.jj]
-        np.add.at(out.values, table.kk, vals)
-        if with_dropped:
-            dropped = float(
-                np.sum(
-                    np.abs(
-                        table.dropped_w
-                        * A.values[table.dropped_ii]
-                        * B.values[table.dropped_jj]
-                    )
-                )
-            )
-    return (out, dropped) if with_dropped else out
-
-
-def el_residual_coeffs(
-    a: OperatorCoeffs, h: OperatorCoeffs, g: OperatorCoeffs
-) -> OperatorCoeffs:
-    """Stationarity residual of the gauge-potential action, in coefficients.
-
-    r = [i*g - [a, h], h] with all commutators projected onto the basis;
-    zero residual characterizes admissible gauge potentials.
-    """
-    _check_same_basis(a, h)
-    _check_same_basis(a, g)
-    c = commutator_in_basis(a, h)
-    q_mid = OperatorCoeffs(a.basis, 1j * g.values - c.values)
-    return commutator_in_basis(q_mid, h)
-
-
-def to_dense(A: OperatorCoeffs, ceiling: int = DENSE_QUBIT_CEILING) -> np.ndarray:
-    """Materialize sum_i values[i] * P_i as a dense 2^q x 2^q matrix."""
-    if A.basis.q > ceiling:
-        raise ValueError(f"system size {A.basis.q} beyond dense ceiling {ceiling}")
-    stack = A.basis.dense_stack()
-    return np.tensordot(A.values, stack, axes=(0, 0))
-
-
-def dense_term(letters: str) -> np.ndarray:
-    """Dense matrix of a single Pauli string (test/oracle helper)."""
-    codes = [_CODE[c] for c in letters]
-    m = _SITE_MATS[codes[0]]
-    for c in codes[1:]:
-        m = np.kron(m, _SITE_MATS[c])
-    return m

@@ -1,4 +1,4 @@
-"""Training-objective components: stationarity residual loss, smoothness
+"""Training-objective components: stationarity residual and its loss, smoothness
 regularizer, terminal metrology penalties, causality weighting.
 
 Per-time parts are differentiable row operations; the causality weights are
@@ -49,31 +49,28 @@ class LossWeights:
         return cls(**d)
 
 
-def el_loss(residual_values) -> float:
-    """Mean squared magnitude of a residual coefficient vector."""
-    r = np.asarray(residual_values)
-    return float(np.mean(np.abs(r) ** 2))
+def el_residual_rows(table, a_rows: Tensor, h_rows: Tensor, g_rows) -> Tensor:
+    """Stationarity residual from (n_times, M) rows of the gauge potential A,
+    the control H and g = dH/dlambda, through a commutator table of
+    `trainer.commutator_scatter` ([X, Y] = i sum_k c_k P_k, c = table(x, y)).
+
+    G = g + i[A, H] has rows g - table(a, h); the result is the c of [G, H],
+    so the residual r = [i g - [A, H], H] = i[G, H] is -sum_k c_k P_k.  Both
+    commutators are projected onto the basis.
+    """
+    c_hat = table(a_rows, h_rows)
+    return table(Tensor.const(g_rows) - c_hat, h_rows)
 
 
 def el_loss_rows(residual_rows: Tensor) -> Tensor:
-    """Per-time version for (n_times, M) real residual rows on the tape."""
+    """Mean squared residual coefficient per time, for (n_times, M) rows."""
     return (residual_rows * residual_rows).mean(axis=1)
 
 
 def regularizer_rows(comm_rows: Tensor) -> Tensor:
-    """Mean squared coefficient magnitude of consecutive-time commutators."""
+    """Mean squared coefficient of consecutive-time commutators [H(t + dt), H(t)],
+    zero exactly when the two samples commute."""
     return (comm_rows * comm_rows).mean(axis=1)
-
-
-def commutativity_regularizer(h_next, h_now) -> float:
-    """Smoothness penalty between consecutive total-Hamiltonian samples.
-
-    Mean squared coefficient magnitude of [H(t + dt), H(t)] in the truncated
-    basis; zero exactly when the two samples commute.
-    """
-    from .pauli import commutator_in_basis
-
-    return el_loss(commutator_in_basis(h_next, h_now).values)
 
 
 def _check_domain(name, value, lo, hi):

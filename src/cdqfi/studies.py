@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,12 +9,10 @@ import numpy as np
 
 from .config import RunConfig
 from .magnus import WindowPlan, truncation_error_bound
-from .network import AdamState, init_params
 from .pauli import build_basis
 from .schedule import reference_schedule
 from .trainer import (
     build_context,
-    loss_and_grads,
     propagate_sequential,
     propagate_windowed,
     protocol_rows,
@@ -119,8 +116,6 @@ class ScalabilityRow:
     basis_size: int
     n_out: int
     m_out_gib: float
-    train_step_ms: float | None
-    inference_ms: float | None
 
 
 def output_memory_gib(n_t: int, n_out: int, bytes_per_value: int = 4) -> float:
@@ -129,46 +124,14 @@ def output_memory_gib(n_t: int, n_out: int, bytes_per_value: int = 4) -> float:
 
 
 def scalability_report(
-    q_list,
-    k: int,
-    n_t: int = 256,
-    measure: bool = True,
-    out_dir=None,
-    repeats: int = 3,
+    q_list, k: int, n_t: int = 256, out_dir=None
 ) -> list[ScalabilityRow]:
-    """Basis counts, output-tensor memory, and measured per-step timings."""
-    from .models import ModelSpec
-
+    """Basis counts and output-tensor memory per system size."""
     rows = []
     for q in q_list:
         kk = min(k, q)
         basis = build_basis(q, kk)
         n_out = 1 + basis.size
-        step_ms = infer_ms = None
-        if measure:
-            cfg = RunConfig(
-                model=ModelSpec("nearest-neighbor", q),
-                basis_k=kk,
-                n_t=n_t,
-                epochs=1,
-                seed=0,
-            )
-            ctx = build_context(cfg)
-            params = init_params(ctx.shape, 0)
-            adam = AdamState(lr=cfg.lr)
-            samples = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                _, grads = loss_and_grads(ctx, params)
-                adam.step(params, grads)
-                samples.append((time.perf_counter() - t0) * 1e3)
-            step_ms = float(np.median(samples))
-            samples = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                protocol_rows(cfg, params, ctx)
-                samples.append((time.perf_counter() - t0) * 1e3)
-            infer_ms = float(np.median(samples))
         rows.append(
             ScalabilityRow(
                 q=q,
@@ -176,20 +139,13 @@ def scalability_report(
                 basis_size=basis.size,
                 n_out=n_out,
                 m_out_gib=output_memory_gib(n_t, n_out),
-                train_step_ms=step_ms,
-                inference_ms=infer_ms,
             )
         )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "scalability.csv", "w") as f:
-            f.write("q,k,basis_size,n_out,m_out_gib,train_step_ms,inference_ms\n")
+            f.write("q,k,basis_size,n_out,m_out_gib\n")
             for r in rows:
-                step = f"{r.train_step_ms:.17g}" if r.train_step_ms is not None else ""
-                inf = f"{r.inference_ms:.17g}" if r.inference_ms is not None else ""
-                f.write(
-                    f"{r.q},{r.k},{r.basis_size},{r.n_out},{r.m_out_gib:.17g},"
-                    f"{step},{inf}\n"
-                )
+                f.write(f"{r.q},{r.k},{r.basis_size},{r.n_out},{r.m_out_gib:.17g}\n")
     return rows

@@ -62,6 +62,7 @@ from .pauli import build_basis, build_commutator_table
 from .physloss import (
     LossBreakdown,
     el_loss_rows,
+    el_residual_rows,
     regularizer_rows,
     terminal_losses,
     total_loss,
@@ -106,6 +107,14 @@ def _h_support_indices(basis, spec) -> np.ndarray:
     return support
 
 
+def commutator_scatter(basis, support=None) -> BilinearScatter:
+    """Structure constants of [X, Y] for X over the basis and Y over `support`
+    (default: the basis) as a real contraction: [X, Y] = i sum_k c_k P_k for
+    c = table.apply(x, y) on real coefficient rows."""
+    t = build_commutator_table(basis, None, support)
+    return BilinearScatter(t.ii, t.jj, t.kk, t.w_imag, basis.size, basis.size)
+
+
 def probe_state(config: RunConfig, basis, grid: TimeGrid, stack: np.ndarray):
     """Initial probe per policy; the extremal policy reads the sensitivity
     direction at the first strictly positive grid time (the operator vanishes
@@ -137,18 +146,8 @@ def build_context(config: RunConfig) -> TrainingContext:
     for omega in (spec.omega, spec.omega + config.delta_omega,
                   spec.omega - config.delta_omega):
         dctrl[omega] = final_rows(replace(spec, omega=omega), basis, grid.times) - ini
-    support = _h_support_indices(basis, spec)
-    el_raw = build_commutator_table(basis, None, support)
-    el_table = BilinearScatter(
-        el_raw.ii, el_raw.jj, el_raw.kk, el_raw.w_imag, basis.size, basis.size
-    )
-    reg_table = None
-    if config.weights.w_reg != 0.0:
-        reg_raw = build_commutator_table(basis)
-        reg_table = BilinearScatter(
-            reg_raw.ii, reg_raw.jj, reg_raw.kk, reg_raw.w_imag,
-            basis.size, basis.size,
-        )
+    el_table = commutator_scatter(basis, _h_support_indices(basis, spec))
+    reg_table = commutator_scatter(basis) if config.weights.w_reg != 0.0 else None
     psi0, probe_pair = probe_state(config, basis, grid, stack)
     direction_rows = sensitivity_direction_rows(spec, basis, grid.times)
     direction_dense = dense_rows(direction_rows, stack, dim)
@@ -256,10 +255,9 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
     omega_c = cfg.model.omega
     h_ctrl, h_tot = hamiltonian_rows(ctx, omega_c, lam_col, dlam_col, a_rows)
 
-    # stationarity residual in coefficient space, all-real contraction chain
-    c_hat = ctx.el_table(a_rows, h_ctrl)
-    q_hat = Tensor.const(ctx.dctrl_rows[omega_c]) - c_hat
-    el_rows = el_loss_rows(ctx.el_table(q_hat, h_ctrl))  # (n_t,)
+    el_rows = el_loss_rows(
+        el_residual_rows(ctx.el_table, a_rows, h_ctrl, ctx.dctrl_rows[omega_c])
+    )  # (n_t,)
 
     if frozen is None:
         f_q_max = qfi_max_bound(lam.data * ctx.gap_direction, ctx.grid)

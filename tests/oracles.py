@@ -23,6 +23,32 @@ def qfi_central_diff(evolve, omega: float, delta_omega: float):
     return fq, (psi_c, psi_p, psi_m)
 
 
+def dense(basis, rows) -> np.ndarray:
+    """sum_k rows[..., k] P_k as (..., d, d) matrices; rows may be complex."""
+    return np.tensordot(rows, basis.dense_stack(), axes=(-1, 0))
+
+
+def project(basis, mats) -> np.ndarray:
+    """Coefficients Tr(P_k M) / d of (..., d, d) matrices on the basis terms.
+    Pauli strings are orthogonal under this product, so this is the exact
+    projection; the structure-constant tables are checked against it."""
+    stack = basis.dense_stack()
+    return np.einsum("kij,...ji->...k", stack, mats) / stack.shape[-1]
+
+
+def commutator_coeffs(basis, x, y) -> np.ndarray:
+    """Projected coefficients of [X, Y] by dense matrix products."""
+    dx, dy = dense(basis, x), dense(basis, y)
+    return project(basis, dx @ dy - dy @ dx)
+
+
+def el_residual_coeffs(basis, a, h, g) -> np.ndarray:
+    """Projected coefficients of the stationarity residual [i g - [A, H], H],
+    with the inner commutator projected first, by dense matrix products."""
+    mid = 1j * np.asarray(g) - commutator_coeffs(basis, a, h)
+    return commutator_coeffs(basis, mid, h)
+
+
 def symmetry_mismatch_loop(op_samples: np.ndarray, sx: np.ndarray) -> np.ndarray:
     """`metrics.symmetry_mismatch`, one time sample at a time."""
     sx_norm = np.linalg.norm(sx)

@@ -27,23 +27,18 @@ from cdqfi.metrics import (
 )
 from cdqfi.models import ModelSpec, final_rows, initial_row
 from cdqfi.network import init_params
-from cdqfi.pauli import (
-    OperatorCoeffs,
-    build_basis,
-    commutator_in_basis,
-    el_residual_coeffs,
-    to_dense,
-)
+from cdqfi.pauli import build_basis
 from cdqfi.physloss import LossWeights
 from cdqfi.schedule import learned_schedule, reference_schedule
 from cdqfi.trainer import (
     baseline_reference,
     build_context,
+    commutator_scatter,
     epoch_forward,
     loss_and_grads,
     train,
 )
-from oracles import qfi_central_diff
+from oracles import commutator_coeffs, dense, project, qfi_central_diff
 
 Z1 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -115,33 +110,39 @@ def test_criterion_01_basis_counting():
 
 
 def test_criterion_02_algebra_oracle_equivalence():
+    # the training tables act on real rows, [X, Y] = i sum_k c_k P_k with
+    # c = table.apply(x, y); complex operators go through by bilinearity
+    def complex_apply(table, x, y):
+        o = table.apply(np.stack([x.real, x.imag, x.real, x.imag]),
+                        np.stack([y.real, y.imag, y.imag, y.real]))
+        return o[0] - o[1] + 1j * (o[2] + o[3])
+
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
+    tables = {}
     worst_comm, worst_el = 0.0, 0.0
     for trial in range(200):
         q = 1 + trial % 3
         basis = build_basis(q, q)
-        stack = basis.dense_stack()
-        dim = 2**q
+        if q not in tables:
+            tables[q] = commutator_scatter(basis)
+        table = tables[q]
 
         def draw():
             v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-            return OperatorCoeffs(basis, v / np.linalg.norm(v))
-
-        def project(mat):
-            return np.einsum("kij,ji->k", stack, mat) / dim
+            return v / np.linalg.norm(v)
 
         a, b = draw(), draw()
-        da, db = to_dense(a), to_dense(b)
-        got = commutator_in_basis(a, b).values
-        want = project(da @ db - db @ da)
+        got = 1j * complex_apply(table, a, b)
+        want = commutator_coeffs(basis, a, b)
         worst_comm = max(worst_comm, float(np.max(np.abs(got - want))))
 
         g = draw()
-        dg = to_dense(g)
+        # the residual [i g - [A, B], B] = i[G, B] with G = g + i[A, B]
+        got_r = -complex_apply(table, g - complex_apply(table, a, b), b)
+        da, db, dg = (dense(basis, v) for v in (a, b, g))
         mid = 1j * dg - (da @ db - db @ da)
-        want_r = project(mid @ db - db @ mid)
-        got_r = el_residual_coeffs(a, b, g).values
+        want_r = project(basis, mid @ db - db @ mid)
         worst_el = max(worst_el, float(np.max(np.abs(got_r - want_r))))
     elapsed = time.perf_counter() - t0
     ok = worst_comm <= 1e-12 and worst_el <= 1e-10 and elapsed < 30

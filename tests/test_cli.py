@@ -98,8 +98,7 @@ def test_magnus_study_subcommand(tiny_config_path, tmp_path):
 
 def test_scalability_subcommand(tmp_path):
     out = tmp_path / "scal"
-    rc = main(["scalability", "--q", "2,3", "--k", "2", "--no-timing",
-               "--out", str(out)])
+    rc = main(["scalability", "--q", "2,3", "--k", "2", "--out", str(out)])
     assert rc == 0
     assert (out / "scalability.csv").exists()
 

@@ -17,6 +17,11 @@ class TestValidation:
     def test_grid_divisibility(self):
         with pytest.raises(ValueError):
             make_config(n_t=250, n_w=16)
+        for n_w in (0, -16):
+            with pytest.raises(ValueError, match="at least 1"):
+                make_config(n_w=n_w)
+            with pytest.raises(ValueError, match="at least 1"):
+                apply_override(make_config(), "n_w", str(n_w))
 
     def test_locality_bounds(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Hamiltonian families: endpoint operators, interpolation, derivatives.
 
 The interpolation and the gauge-potential term are checked through
-`trainer.hamiltonian_rows`, the one H-assembly training and evaluation run.
+`trainer.hamiltonian_rows`, the one H-assembly training and evaluation run,
+and dense operators come from `trainer.dense_rows`, their materialization.
 """
 
 from dataclasses import fields
@@ -16,8 +17,8 @@ from cdqfi.models import (
     initial_row,
     sensitivity_direction_rows,
 )
-from cdqfi.pauli import OperatorCoeffs, build_basis, to_dense
-from cdqfi.trainer import build_context, hamiltonian_rows
+from cdqfi.pauli import build_basis
+from cdqfi.trainer import build_context, dense_rows, hamiltonian_rows
 
 NN2 = ModelSpec("nearest-neighbor", 2)
 B2 = build_basis(2, 2)
@@ -25,6 +26,10 @@ B2 = build_basis(2, 2)
 
 def context(spec=NN2, basis_k=2, **kw):
     return build_context(RunConfig(model=spec, basis_k=basis_k, n_t=16, n_w=4, **kw))
+
+
+def dense(ctx, row):
+    return dense_rows(row, ctx.stack, ctx.dim)[0]
 
 
 def column(ctx, value):
@@ -61,7 +66,8 @@ class TestInitial:
         assert np.count_nonzero(row) == 3
 
     def test_dense_spectrum_q2(self):
-        vals = np.linalg.eigvalsh(to_dense(OperatorCoeffs(B2, initial_row(NN2, B2))))
+        ctx = context()
+        vals = np.linalg.eigvalsh(dense(ctx, initial_row(NN2, ctx.basis)))
         np.testing.assert_allclose(vals, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -170,10 +176,10 @@ class TestDlambda:
         ctx = context()
         j = 12  # t = 0.8
         d = control(ctx, 1.0)[j] - control(ctx, 0.0)[j]
-        want = to_dense(
-            OperatorCoeffs(ctx.basis, final_rows(NN2, ctx.basis, ctx.grid.times[j])[0])
-        ) - to_dense(OperatorCoeffs(ctx.basis, initial_row(NN2, ctx.basis)))
-        np.testing.assert_allclose(to_dense(OperatorCoeffs(ctx.basis, d)), want, atol=1e-14)
+        want = dense(ctx, final_rows(NN2, ctx.basis, ctx.grid.times[j])[0]) - dense(
+            ctx, initial_row(NN2, ctx.basis)
+        )
+        np.testing.assert_allclose(dense(ctx, d), want, atol=1e-14)
 
 
 class TestTotal:

@@ -4,61 +4,70 @@ import numpy as np
 import pytest
 
 from cdqfi.autodiff import Tensor
-from cdqfi.pauli import OperatorCoeffs, build_basis, commutator_in_basis, el_residual_coeffs
+from cdqfi.pauli import build_basis
 from cdqfi.physloss import (
     LossWeights,
     causality_weights,
-    commutativity_regularizer,
-    el_loss,
     el_loss_rows,
+    el_residual_rows,
+    regularizer_rows,
     terminal_losses,
     total_loss,
 )
+from cdqfi.trainer import commutator_scatter
+from oracles import project
+
+B1 = build_basis(1, 1)
+
+
+def single(letters, value):
+    row = np.zeros((1, B1.size))
+    row[0, B1.index[letters]] = value
+    return Tensor.const(row)
+
+
+def regularizer(h_next, h_now):
+    """The mean squared coefficient of [H(t + dt), H(t)] the way training forms it."""
+    return float(regularizer_rows(commutator_scatter(B1)(h_next, h_now)).data[0])
 
 
 class TestElLoss:
     def test_zero(self):
-        assert el_loss(np.zeros(16)) == 0.0
+        assert el_loss_rows(Tensor.const(np.zeros((1, 16)))).data[0] == 0.0
 
     def test_single_imaginary_entry(self):
-        r = np.zeros(16, dtype=complex)
-        r[3] = 2j
-        assert el_loss(r) == 0.25
+        # a commutator 2i P_3 = i sum_k c_k P_k has the single row entry c_3 = 2
+        basis = build_basis(2, 2)
+        c = project(basis, 2j * basis.dense_stack()[3]).imag
+        assert el_loss_rows(Tensor.const(c[None, :])).data[0] == 0.25
 
     def test_exact_single_qubit_gauge_potential(self):
-        basis = build_basis(1, 1)
-        a = OperatorCoeffs(basis).set_term("Y", -0.5)
-        h = OperatorCoeffs(basis).set_term("X", 1.0)
-        g = OperatorCoeffs(basis).set_term("Z", 1.0)
-        assert el_loss(el_residual_coeffs(a, h, g).values) <= 1e-14
+        residual = el_residual_rows(
+            commutator_scatter(B1), single("Y", -0.5), single("X", 1.0),
+            single("Z", 1.0).data,
+        )
+        assert el_loss_rows(residual).data[0] <= 1e-14
 
     def test_rows_match_scalar_version(self):
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((5, 8))
         got = el_loss_rows(Tensor.const(rows)).data
-        want = [el_loss(rows[i]) for i in range(5)]
+        want = [np.mean(np.abs(rows[i]) ** 2) for i in range(5)]
         np.testing.assert_allclose(got, want, atol=1e-15)
 
 
 class TestRegularizer:
     def test_constant_hamiltonian_vanishes(self):
-        basis = build_basis(1, 1)
-        h = OperatorCoeffs(basis).set_term("X", 0.8)
-        assert commutativity_regularizer(h, h) == 0.0
+        h = single("X", 0.8)
+        assert regularizer(h, h) == 0.0
 
     def test_commuting_family_vanishes(self):
-        basis = build_basis(1, 1)
-        h1 = OperatorCoeffs(basis).set_term("Z", 0.3)
-        h2 = OperatorCoeffs(basis).set_term("Z", 0.9)
-        assert commutativity_regularizer(h2, h1) == 0.0
+        assert regularizer(single("Z", 0.9), single("Z", 0.3)) == 0.0
 
     def test_hand_evaluated_x_then_z(self):
-        basis = build_basis(1, 1)
-        h_now = OperatorCoeffs(basis).set_term("X", 1.0)
-        h_next = OperatorCoeffs(basis).set_term("Z", 1.0)
         # [Z, X] = 2iY -> mean square 4 / M
-        assert commutativity_regularizer(h_next, h_now) == pytest.approx(
-            4.0 / basis.size
+        assert regularizer(single("Z", 1.0), single("X", 1.0)) == pytest.approx(
+            4.0 / B1.size
         )
 
 

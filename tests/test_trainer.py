@@ -9,12 +9,10 @@ from cdqfi.autodiff import Tensor, backward
 from cdqfi.config import RunConfig
 from cdqfi.magnus import WindowedEvolution, evolve_windowed
 from cdqfi.models import ModelSpec
-from cdqfi.pauli import OperatorCoeffs, el_residual_coeffs
 from cdqfi.physloss import (
     LossWeights,
-    commutativity_regularizer,
-    el_loss,
     el_loss_rows,
+    el_residual_rows,
     regularizer_rows,
 )
 from cdqfi.trainer import (
@@ -35,6 +33,7 @@ from cdqfi.trainer import (
     train,
 )
 from cdqfi.network import init_params
+from oracles import commutator_coeffs, el_residual_coeffs
 
 
 def tiny_config(**kw):
@@ -79,7 +78,7 @@ class TestContext:
     @pytest.mark.parametrize("basis_k", [3, 2])
     def test_tables_match_scalar_oracles(self, basis_k):
         # the context's scatter tables, used the way epoch_forward uses them,
-        # against the per-time OperatorCoeffs routes on real structure constants
+        # against per-time dense commutators projected onto the basis
         cfg = tiny_config(model=ModelSpec("nearest-neighbor", 3), basis_k=basis_k)
         ctx = build_context(cfg)
         n_t, basis = ctx.grid.n_t, ctx.basis
@@ -90,18 +89,24 @@ class TestContext:
         omega = cfg.model.omega
         ctrl, tot = hamiltonian_rows(ctx, omega, lam, dlam, a)
         dctrl = ctx.dctrl_rows[omega]
-        c_hat = ctx.el_table(Tensor.const(a), Tensor.const(ctrl))
-        q_hat = Tensor.const(dctrl) - c_hat
-        el_rows = el_loss_rows(ctx.el_table(q_hat, Tensor.const(ctrl))).data
-        reg_rows = regularizer_rows(
-            ctx.reg_table(Tensor.const(tot[1:]), Tensor.const(tot[:-1]))
+        residual = el_residual_rows(
+            ctx.el_table, Tensor.const(a), Tensor.const(ctrl), dctrl
         ).data
-        coeffs = lambda row: OperatorCoeffs(basis, row)
+        el_rows = el_loss_rows(Tensor.const(residual)).data
+        comm = ctx.reg_table.apply(tot[1:], tot[:-1])
+        reg_rows = regularizer_rows(Tensor.const(comm)).data
         for t in (1, n_t // 2, n_t - 1):
-            residual = el_residual_coeffs(coeffs(a[t]), coeffs(ctrl[t]), coeffs(dctrl[t]))
-            np.testing.assert_allclose(el_rows[t], el_loss(residual.values), rtol=1e-12)
-            reg = commutativity_regularizer(coeffs(tot[t]), coeffs(tot[t - 1]))
-            np.testing.assert_allclose(reg_rows[t - 1], reg, rtol=1e-12)
+            # the residual i[G, H] is -sum_k residual_k P_k
+            want = el_residual_coeffs(basis, a[t], ctrl[t], dctrl[t])
+            tol = 1e-12 * np.abs(want).max()
+            np.testing.assert_allclose(-residual[t], want, rtol=0, atol=tol)
+            np.testing.assert_allclose(el_rows[t], np.mean(np.abs(want) ** 2), rtol=1e-12)
+            want = commutator_coeffs(basis, tot[t], tot[t - 1])
+            tol = 1e-12 * np.abs(want).max()
+            np.testing.assert_allclose(1j * comm[t - 1], want, rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                reg_rows[t - 1], np.mean(np.abs(want) ** 2), rtol=1e-12
+            )
 
 
 def check_loss_gradient(cfg, seed=3, d=1e-5, richardson=False):
@@ -259,7 +264,7 @@ class TestPropagationNode:
 
         def moved(step):
             rows = [Tensor.const(r + step * v) for r, v in zip(base, direction)]
-            return loss(rows).item()
+            return float(loss(rows).data)
 
         fd = (moved(d) - moved(-d)) / (2 * d)
         for r in base:
