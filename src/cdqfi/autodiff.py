@@ -117,22 +117,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            out = Tensor(self.data / other.data)
-            if self.needs or other.needs:
-                out.needs, out._prev = True, (self, other)
-
-                def bw(g, a=self, b=other):
-                    if a.needs:
-                        a._acc(_unbroadcast(g / b.data, a.shape))
-                    if b.needs:
-                        b._acc(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-                out._backward = bw
-            return out
-        return self * (1.0 / other)
-
     def __pow__(self, n):
         out = Tensor(self.data**n)
         if self.needs:
@@ -175,9 +159,6 @@ class Tensor:
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
         return self._unary(y, lambda y: y * (1.0 - y))
-
-    def sqrt(self):
-        return self._unary(np.sqrt(self.data), lambda y: 0.5 / y)
 
     def silu(self):
         """x * sigmoid(x), the hidden-layer activation."""

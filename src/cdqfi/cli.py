@@ -131,11 +131,9 @@ def main(argv=None) -> int:
 
     if args.command == "magnus-study":
         from .studies import magnus_study
-        from .trainer import load_checkpoint
+        from .trainer import checkpoint_params
 
-        params = None
-        if args.checkpoint:
-            params, _, _ = load_checkpoint(args.checkpoint)
+        params = checkpoint_params(cfg, args.checkpoint) if args.checkpoint else None
         out = _out_dir(cfg, args, "runs/magnus-study")
         n_w_list = [int(x) for x in args.nw.split(",")]
         p_list = [int(x) for x in args.orders.split(",")]

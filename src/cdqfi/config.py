@@ -69,6 +69,11 @@ class RunConfig:
             raise ValueError(
                 f"extremal_states must be one of {EXTREMAL_STATE_READINGS}"
             )
+        if self.extremal_states == "time-evolved" and self.initial_state == "plus-product":
+            raise ValueError(
+                "extremal_states='time-evolved' needs the extremal-superposition "
+                "probe: the plus-product state has no probe pair to evolve"
+            )
         if not 0 < self.delta_omega_rel < 1e-2:
             raise ValueError("delta_omega_rel out of sane range")
 

@@ -71,14 +71,23 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _comm(a, b):
-    return a @ b - b @ a
+def _comm_sym(a, b, sign: int):
+    """[a, b] from one product, for a^H = +-a and b^H = +-b: `sign` is the
+    product of the two signs, and ba = sign (ab)^H."""
+    ab = a @ b
+    return ab - _dagger(ab) if sign > 0 else ab + _dagger(ab)
 
 
 def _omega_parts(h_samples: np.ndarray, dt: float, p: int):
-    """The generator of `omega_window` and the per-sample sums its reverse
-    pass reads: prefix P_j (samples before j), suffix S_j (samples after j),
-    [H_j, P_j] and [H_j, S_j]; None where the order does not use them."""
+    """Magnus generator of one window (or a batch) and the per-sample sums
+    its reverse pass reads.
+
+    h_samples: (..., m, d, d) Hermitian operators in time order.  Returns the
+    (..., d, d) anti-Hermitian generator truncated at order p in {1, 2, 3},
+    and prefix P_j (samples before j), suffix S_j (samples after j),
+    [H_j, P_j] and [H_j, S_j]; None where the order does not use them.  The
+    samples and their sums are Hermitian and the commutators anti-Hermitian,
+    so each commutator is one product."""
     if p not in (1, 2, 3):
         raise ValueError("truncation order must be 1, 2, or 3")
     total = h_samples.sum(axis=-3)
@@ -86,30 +95,14 @@ def _omega_parts(h_samples: np.ndarray, dt: float, p: int):
     prefix = suffix = inner = outer = None
     if p >= 2:
         prefix = h_samples.cumsum(-3) - h_samples  # sum over earlier samples
-        inner = _comm(h_samples, prefix)
+        inner = _comm_sym(h_samples, prefix, 1)
         omega = omega + (-0.5 * dt * dt) * inner.sum(axis=-3)
         if p >= 3:
             suffix = total[..., None, :, :] - prefix - h_samples
-            outer = _comm(h_samples, suffix)
-            nested = _comm(suffix, inner) + _comm(prefix, outer)
+            outer = _comm_sym(h_samples, suffix, 1)
+            nested = _comm_sym(suffix, inner, -1) + _comm_sym(prefix, outer, -1)
             omega = omega + (1j * dt**3 / 6.0) * nested.sum(axis=-3)
     return omega, (prefix, suffix, inner, outer)
-
-
-def omega_window(h_samples: np.ndarray, dt: float, p: int) -> np.ndarray:
-    """Magnus generator of one window (or a batch) from its time samples.
-
-    h_samples: (..., m, d, d) Hermitian operators in time order; returns the
-    (..., d, d) anti-Hermitian generator truncated at order p in {1, 2, 3}.
-    """
-    return _omega_parts(h_samples, dt, p)[0]
-
-
-def _comm_sym(a, b, sign: int):
-    """[a, b] from one product, for a^H = +-a and b^H = +-b: `sign` is the
-    product of the two signs, and ba = sign (ab)^H."""
-    ab = a @ b
-    return ab - _dagger(ab) if sign > 0 else ab + _dagger(ab)
 
 
 def _omega_vjp(h_samples, dt: float, p: int, parts, g: np.ndarray) -> np.ndarray:

@@ -108,17 +108,14 @@ def qfi_via_generator(
     central-difference route.  Independent of any frequency-perturbed
     propagation.
     """
-    n_t, dim = dh_samples.shape[0], dh_samples.shape[-1]
-    if prefix_ops.shape[0] != n_t:
+    if prefix_ops.shape[0] != dh_samples.shape[0]:
         raise ValueError("need one cumulative propagator per grid point")
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(n_t - 1):
-        d_eff = dh_samples[j]
-        if h_samples is not None:
-            hj = h_samples[j]
-            d_eff = d_eff + 0.5j * grid.dt * (hj @ d_eff - d_eff @ hj)
-        u = prefix_ops[j]
-        h += grid.dt * (u.conj().T @ d_eff @ u)
+    d_eff = dh_samples[:-1]
+    if h_samples is not None:
+        hj = h_samples[:-1]
+        d_eff = d_eff + 0.5j * grid.dt * (hj @ d_eff - d_eff @ hj)
+    u = prefix_ops[:-1]
+    h = grid.dt * (u.conj().swapaxes(-1, -2) @ d_eff @ u).sum(axis=0)
     h_psi = h @ psi0
     mean = np.vdot(psi0, h_psi).real
     second = np.vdot(h_psi, h_psi).real
@@ -152,7 +149,7 @@ def fidelity_block(psi_t: np.ndarray, pair: ExtremalPair) -> FidelityBlock:
     cos_dphi = float((c_max * np.conj(c_min)).real / cross) if cross > 1e-15 else 0.0
     decomposed = 0.5 * (p_min + p_max + 2.0 * cross * cos_dphi)
     if abs(decomposed - fidelity) > 1e-10:
-        raise AssertionError(
+        raise ValueError(
             f"fidelity decomposition mismatch: {fidelity} vs {decomposed}"
         )
     balance = float(4.0 * p_min * p_max)
@@ -198,13 +195,9 @@ def extremal_subspace_trace(states: np.ndarray, pairs: list[ExtremalPair]) -> np
     """Population of the instantaneous extremal two-plane along the path."""
     if states.shape[0] != len(pairs):
         raise ValueError("one extremal pair per state required")
-    out = np.empty(len(pairs))
-    for j, (psi, pair) in enumerate(zip(states, pairs)):
-        out[j] = (
-            np.abs(np.vdot(pair.vec_min, psi)) ** 2
-            + np.abs(np.vdot(pair.vec_max, psi)) ** 2
-        )
-    return out
+    c_min = np.einsum("ti,ti->t", np.stack([p.vec_min for p in pairs]).conj(), states)
+    c_max = np.einsum("ti,ti->t", np.stack([p.vec_max for p in pairs]).conj(), states)
+    return np.abs(c_min) ** 2 + np.abs(c_max) ** 2
 
 
 def sx_operator(q: int) -> np.ndarray:

@@ -79,9 +79,6 @@ class OperatorBasis:
     def size(self) -> int:
         return len(self.terms)
 
-    def __len__(self) -> int:
-        return self.size
-
     def lookup_codes(self, codes: np.ndarray) -> np.ndarray:
         """Positions of letter-code rows (shape (n, q)); -1 if outside basis."""
         keys = codes.astype(np.int64) @ self._pow4
@@ -154,7 +151,6 @@ class CommutatorTable:
     the dropped_* arrays for the projection diagnostic.
     """
 
-    size: int
     ii: np.ndarray
     jj: np.ndarray
     kk: np.ndarray
@@ -199,7 +195,6 @@ def build_commutator_table(
         np.concatenate(parts) if parts else np.array([], dtype=dt)
     )
     return CommutatorTable(
-        size=basis.size,
         ii=cat(ii_all, np.int64),
         jj=cat(jj_all, np.int64),
         kk=cat(kk_all, np.int64),

@@ -5,9 +5,9 @@ full grid, constrained schedule, gauge-potential rows, the stationarity and
 regularizer contractions, and the causality-weighted loss.  The total
 Hamiltonian rows at the working frequency and its two finite-difference
 neighbors enter one tape node (`propagation_node`), which materializes and
-propagates all three in complex numpy with the code evaluation runs, and
-has a hand-written reverse pass.  The terminal overlaps and F_Q are then
-formed on the real and imaginary parts of its three final states.
+propagates all three in complex numpy and forms F_Q and the terminal
+fidelity terms with the code evaluation runs, and has a hand-written
+reverse pass.
 The causality weights and the spectral-gap normalizer are computed from the
 current epoch's concrete values and enter backward as constants.
 """
@@ -188,13 +188,15 @@ def dense_rows(rows: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
 
 
 def propagation_node(ctx: TrainingContext, rows) -> Tensor:
-    """Windowed final states at the three frequencies of `ctx.omegas`, from
-    their (n_t, M) total-Hamiltonian row tensors, as one (3, d, 2) node of
-    real and imaginary parts.
+    """(F_Q, cos dphi, balance) of the windowed final states at the three
+    frequencies of `ctx.omegas`, from their (n_t, M) total-Hamiltonian row
+    tensors, as one (3,) node.
 
-    The forward pass is `propagate_windowed`'s: dense materialization, then
-    one windowed evolution per frequency.  The reverse pass is
-    `WindowedEvolution.vjp`, then Re(G_H stack^H) back to the rows.
+    The forward pass is evaluation's: dense materialization, one windowed
+    evolution per frequency, then `qfi_from_states` and `fidelity_block` on
+    the terminal extremal pair.  The reverse pass takes the three scalar
+    cotangents to the final states, then runs `WindowedEvolution.vjp` and
+    Re(G_H stack^H) back to the rows.
     """
     evolutions = [
         WindowedEvolution(
@@ -203,14 +205,30 @@ def propagation_node(ctx: TrainingContext, rows) -> Tensor:
         )
         for r in rows
     ]
-    psi = np.stack([e.final[:, 0] for e in evolutions])
+    psi, psi_p, psi_m = (e.final[:, 0] for e in evolutions)
+    dw, pair = ctx.config.delta_omega, ctx.pair_terminal
+    block = fidelity_block(psi, pair)
 
     def vjp(g, evolutions=evolutions, stack=ctx.stack):
-        g_psi = g[..., 0] + 1j * g[..., 1]
-        g_h = np.stack([e.vjp(gp[:, None]) for e, gp in zip(evolutions, g_psi)])
+        # state cotangents as dL/dRe + i dL/dIm; F_Q = 4 (|dpsi|^2 - |<psi|dpsi>|^2)
+        dpsi = (psi_p - psi_m) / (2.0 * dw)
+        ov = np.vdot(psi, dpsi)
+        g_d = (4.0 * g[0] / dw) * (dpsi - ov * psi)
+        g_psi = (-8.0 * g[0] * np.conj(ov)) * dpsi
+        # c = <v|psi>: balance = 4 p_min p_max, cos dphi = Re(c_max c_min^*) / s
+        c_min, c_max = np.vdot(pair.vec_min, psi), np.vdot(pair.vec_max, psi)
+        p_min, p_max, cos = block.p_min, block.p_max, block.cos_dphi
+        g_min, g_max = (8.0 * g[2] * p_max) * c_min, (8.0 * g[2] * p_min) * c_max
+        s = np.sqrt(p_min * p_max)
+        if s > 1e-15:  # fidelity_block's rule: below it cos dphi is 0
+            g_min = g_min + (g[1] / s) * (c_max - (cos * p_max / s) * c_min)
+            g_max = g_max + (g[1] / s) * (c_min - (cos * p_min / s) * c_max)
+        g_psi = g_psi + g_min * pair.vec_min + g_max * pair.vec_max
+        g_h = np.stack([e.vjp(gp[:, None]) for e, gp in zip(evolutions, (g_psi, g_d, -g_d))])
         return (g_h.reshape(*g_h.shape[:2], -1) @ stack.conj().T).real
 
-    return custom_node(np.stack([psi.real, psi.imag], axis=-1), rows, vjp)
+    scalars = [qfi_from_states(psi, psi_p, psi_m, dw), block.cos_dphi, block.balance]
+    return custom_node(np.array(scalars), rows, vjp)
 
 
 def schedule_on_tape(ctx: TrainingContext, leaves):
@@ -275,25 +293,11 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
             hamiltonian_rows(ctx, omega, lam_col, dlam_col, a_rows)[1]
             for omega in ctx.omegas[1:]
         ]
-        psi = propagation_node(ctx, rows)
-        psi_c = psi[0]
-        dpsi = (psi[1] - psi[2]) * (1.0 / (2.0 * cfg.delta_omega))
-        # states are (d, 2) columns of real and imaginary parts: <psi|dpsi>
-        ov_re = (psi_c * dpsi).sum()
-        ov_im = (psi_c[:, 0] * dpsi[:, 1] - psi_c[:, 1] * dpsi[:, 0]).sum()
-        fq = ((dpsi * dpsi).sum() - (ov_re * ov_re + ov_im * ov_im)) * 4.0
         if f_q_max <= 1e-30:
             raise ValueError("degenerate protocol: vanishing sensitivity bound")
-        eta = fq * (1.0 / f_q_max)
-        # <v|psi> for v = vec_min, vec_max from one product with Re v and Im v
-        v = np.stack([ctx.pair_terminal.vec_min, ctx.pair_terminal.vec_max])
-        m = Tensor.const(np.concatenate([v.real, v.imag])) @ psi_c
-        c_re, c_im = m[:2, 0] + m[2:, 1], m[:2, 1] - m[2:, 0]
-        p = c_re * c_re + c_im * c_im
-        p_min, p_max = p[0], p[1]
-        balance = (p_min * p_max) * 4.0
-        cross = (p_min * p_max + 1e-24).sqrt()
-        cos_dphi = (c_re[0] * c_re[1] + c_im[0] * c_im[1]) / cross
+        scalars = propagation_node(ctx, rows)
+        eta = scalars[0] * (1.0 / f_q_max)
+        cos_dphi, balance = scalars[1], scalars[2]
         eta_val = float(eta.data)
         terms = terminal_losses(eta, cos_dphi, balance)
 
@@ -526,7 +530,7 @@ def evaluate_protocol(
     eta_win = f_q_win / f_q_max if eta_defined else None
     eps_eta = abs(eta_win - eta_seq) if eta_defined else None
 
-    if config.extremal_states == "time-evolved" and ctx.probe_pair is not None:
+    if config.extremal_states == "time-evolved":
         u_t = seq_central.prefix_ops[-1]
         pair_eval = ExtremalPair(
             val_min=ctx.probe_pair.val_min,
@@ -644,15 +648,21 @@ def write_evaluation_artifacts(out_dir, report: MetricsReport, traces: dict) -> 
     return files
 
 
-def evaluate_checkpoint(config: RunConfig, checkpoint_path, out_dir=None):
-    """Evaluate a stored checkpoint against a (possibly overridden) config."""
+def checkpoint_params(config: RunConfig, checkpoint_path) -> dict:
+    """Parameters of a stored checkpoint, which must have been trained at the
+    config's q and k: the network's output width is the basis size."""
     params, _, meta = load_checkpoint(checkpoint_path)
     if meta["q"] != config.model.q or meta["basis_k"] != config.basis_k:
         raise ValueError(
             f"checkpoint was trained at q={meta['q']}, k={meta['basis_k']}; "
             f"config asks for q={config.model.q}, k={config.basis_k}"
         )
-    report, traces = evaluate_protocol(config, params)
+    return params
+
+
+def evaluate_checkpoint(config: RunConfig, checkpoint_path, out_dir=None):
+    """Evaluate a stored checkpoint against a (possibly overridden) config."""
+    report, traces = evaluate_protocol(config, checkpoint_params(config, checkpoint_path))
     if out_dir is not None:
         write_evaluation_artifacts(out_dir, report, traces)
     return report, traces

@@ -61,3 +61,31 @@ def symmetry_mismatch_loop(op_samples: np.ndarray, sx: np.ndarray) -> np.ndarray
         comm = op @ sx - sx @ op
         out[j] = np.linalg.norm(comm) / (op_norm * sx_norm)
     return out
+
+
+def qfi_via_generator_loop(prefix_ops, dh_samples, grid, psi0, h_samples=None) -> float:
+    """`metrics.qfi_via_generator`, accumulating one step at a time."""
+    dim = dh_samples.shape[-1]
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    for j in range(dh_samples.shape[0] - 1):
+        d_eff = dh_samples[j]
+        if h_samples is not None:
+            hj = h_samples[j]
+            d_eff = d_eff + 0.5j * grid.dt * (hj @ d_eff - d_eff @ hj)
+        u = prefix_ops[j]
+        h += grid.dt * (u.conj().T @ d_eff @ u)
+    h_psi = h @ psi0
+    mean = np.vdot(psi0, h_psi).real
+    second = np.vdot(h_psi, h_psi).real
+    return float(4.0 * (second - mean**2))
+
+
+def extremal_subspace_trace_loop(states, pairs) -> np.ndarray:
+    """`metrics.extremal_subspace_trace`, one state at a time."""
+    out = np.empty(len(pairs))
+    for j, (psi, pair) in enumerate(zip(states, pairs)):
+        out[j] = (
+            np.abs(np.vdot(pair.vec_min, psi)) ** 2
+            + np.abs(np.vdot(pair.vec_max, psi)) ** 2
+        )
+    return out

@@ -96,6 +96,18 @@ def test_magnus_study_subcommand(tiny_config_path, tmp_path):
     assert len(lines) == 5
 
 
+def test_magnus_study_rejects_checkpoint_of_other_size(tiny_config_path, tmp_path):
+    run_dir = tmp_path / "run"
+    main(["train", "--config", str(tiny_config_path), "--out", str(run_dir)])
+    with pytest.raises(ValueError, match="checkpoint was trained at q=2, k=2"):
+        main([
+            "magnus-study", "--config", str(tiny_config_path),
+            "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--override", "model.q=3", "--override", "basis_k=3",
+            "--out", str(tmp_path / "study"), "--nw", "4", "--orders", "1",
+        ])
+
+
 def test_scalability_subcommand(tmp_path):
     out = tmp_path / "scal"
     rc = main(["scalability", "--q", "2,3", "--k", "2", "--out", str(out)])

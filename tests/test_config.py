@@ -43,6 +43,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_config(extremal_states="both")
 
+    def test_time_evolved_reading_needs_probe_pair(self):
+        with pytest.raises(ValueError, match="no probe pair"):
+            make_config(initial_state="plus-product", extremal_states="time-evolved")
+        cfg = make_config(initial_state="plus-product")
+        with pytest.raises(ValueError, match="no probe pair"):
+            apply_override(cfg, "extremal_states", "time-evolved")
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

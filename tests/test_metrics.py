@@ -22,7 +22,12 @@ from cdqfi.metrics import (
 from cdqfi.models import ModelSpec, sensitivity_direction_rows
 from cdqfi.schedule import reference_schedule
 from cdqfi.trainer import build_context, dense_rows
-from oracles import qfi_central_diff, symmetry_mismatch_loop
+from oracles import (
+    extremal_subspace_trace_loop,
+    qfi_central_diff,
+    qfi_via_generator_loop,
+    symmetry_mismatch_loop,
+)
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -277,6 +282,20 @@ class TestGeneratorOracle:
         )
         assert abs(fq_gen - fq_cd) / fq_cd < 1e-3
 
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_matches_loop_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        grid = TimeGrid(64)
+        h = rng.standard_normal((64, dim, dim)) + 1j * rng.standard_normal((64, dim, dim))
+        h = h + h.conj().swapaxes(-1, -2)
+        dh = np.roll(h, 5, axis=0) * 0.3
+        psi0 = random_state(dim, rng)
+        prefix = evolve_sequential(psi0, h, grid, want_prefix=True).prefix_ops
+        for samples in (None, h):
+            got = qfi_via_generator(prefix, dh, grid, psi0, h_samples=samples)
+            want = qfi_via_generator_loop(prefix, dh, grid, psi0, h_samples=samples)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
 
 class TestFidelityBlock:
     def test_balanced_superposition(self):
@@ -390,6 +409,16 @@ class TestDiagnostics:
         states = np.stack([random_state(4, rng) for _ in range(50)])
         vals = extremal_subspace_trace(states, pairs)
         assert np.all(vals >= 0) and np.all(vals <= 1 + 1e-12)
+
+    def test_p_ext_matches_loop_oracle(self):
+        rng = np.random.default_rng(12)
+        for dim in (2, 4, 8, 16):
+            pairs = [random_pair(dim, rng) for _ in range(40)]
+            states = np.stack([random_state(dim, rng) for _ in range(40)])
+            np.testing.assert_allclose(
+                extremal_subspace_trace(states, pairs),
+                extremal_subspace_trace_loop(states, pairs), rtol=1e-14, atol=0,
+            )
 
     def test_symmetry_mismatch_self_commutation(self):
         sx = sx_operator(2)
