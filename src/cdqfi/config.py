@@ -14,11 +14,22 @@ from dataclasses import dataclass, field, replace
 from .models import ModelSpec
 from .physloss import LossWeights
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-SCHEDULE_MODES = ("learned", "reference")
-INITIAL_STATE_POLICIES = ("extremal-superposition", "plus-product")
-EXTREMAL_STATE_READINGS = ("instantaneous", "time-evolved")
+# the JSON blocks that group RunConfig fields, each key named as its field
+BLOCKS = {
+    "grid": ("n_t", "n_w", "order"),
+    "optimizer": ("lr", "epochs"),
+    "network": ("lambda_hidden", "agp_hidden"),
+}
+TOP_LEVEL = ("seed", "delta_omega_rel", "out_dir")
+
+
+def _known(d: dict, keys, what: str) -> dict:
+    unknown = set(d) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -28,17 +39,13 @@ class RunConfig:
     n_t: int = 256
     n_w: int = 16
     order: int = 3
-    schedule_mode: str = "learned"
-    amplitude: float = 3.0
     weights: LossWeights = field(default_factory=LossWeights)
     lr: float = 1e-4
     epochs: int = 25_000
     lambda_hidden: tuple = (50, 50, 50)
     agp_hidden: tuple = (50, 50, 50, 50, 50, 50)
     seed: int = 0
-    initial_state: str = "extremal-superposition"
     delta_omega_rel: float = 1e-6
-    extremal_states: str = "instantaneous"
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -56,24 +63,6 @@ class RunConfig:
             raise ValueError("epochs must be at least 1")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        if self.schedule_mode not in SCHEDULE_MODES:
-            raise ValueError(f"schedule_mode must be one of {SCHEDULE_MODES}")
-        if not 0.0 < self.amplitude <= 3.0:
-            raise ValueError(
-                "correction amplitude must lie in (0, 3]; 3 is the largest "
-                "value keeping the schedule inside [0, 1]"
-            )
-        if self.initial_state not in INITIAL_STATE_POLICIES:
-            raise ValueError(f"initial_state must be one of {INITIAL_STATE_POLICIES}")
-        if self.extremal_states not in EXTREMAL_STATE_READINGS:
-            raise ValueError(
-                f"extremal_states must be one of {EXTREMAL_STATE_READINGS}"
-            )
-        if self.extremal_states == "time-evolved" and self.initial_state == "plus-product":
-            raise ValueError(
-                "extremal_states='time-evolved' needs the extremal-superposition "
-                "probe: the plus-product state has no probe pair to evolve"
-            )
         if not 0 < self.delta_omega_rel < 1e-2:
             raise ValueError("delta_omega_rel out of sane range")
 
@@ -86,69 +75,31 @@ class RunConfig:
             "schema": SCHEMA_VERSION,
             "model": self.model.to_json_dict(),
             "basis_k": self.basis_k,
-            "grid": {"n_t": self.n_t, "n_w": self.n_w, "order": self.order},
-            "schedule": {"mode": self.schedule_mode, "amplitude": self.amplitude},
             "loss": self.weights.to_json_dict(),
-            "optimizer": {"lr": self.lr, "epochs": self.epochs},
-            "network": {
-                "lambda_hidden": list(self.lambda_hidden),
-                "agp_hidden": list(self.agp_hidden),
-            },
-            "seed": self.seed,
-            "initial_state": self.initial_state,
-            "delta_omega_rel": self.delta_omega_rel,
-            "extremal_states": self.extremal_states,
         }
-        if self.out_dir is not None:
-            d["out_dir"] = self.out_dir
+        for block, keys in BLOCKS.items():
+            d[block] = {k: getattr(self, k) for k in keys}
+        d.update({k: getattr(self, k) for k in TOP_LEVEL if getattr(self, k) is not None})
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
-        top = {
-            "schema", "model", "basis_k", "grid", "schedule", "loss", "optimizer",
-            "network", "seed", "initial_state", "delta_omega_rel", "extremal_states",
-            "out_dir",
-        }
-        unknown = set(d) - top
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        """Fields from the keys the document holds; every absent one keeps
+        its dataclass default."""
         if d.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema {d.get('schema')!r}")
-        grid = dict(d.get("grid", {}))
-        if set(grid) - {"n_t", "n_w", "order"}:
-            raise ValueError(f"unknown grid keys {sorted(set(grid) - {'n_t','n_w','order'})}")
-        sched = dict(d.get("schedule", {}))
-        if set(sched) - {"mode", "amplitude"}:
-            raise ValueError(
-                f"unknown schedule keys {sorted(set(sched) - {'mode', 'amplitude'})}"
-            )
-        opt = dict(d.get("optimizer", {}))
-        if set(opt) - {"lr", "epochs"}:
-            raise ValueError(f"unknown optimizer keys {sorted(set(opt) - {'lr','epochs'})}")
-        net = dict(d.get("network", {}))
-        if set(net) - {"lambda_hidden", "agp_hidden"}:
-            raise ValueError(
-                f"unknown network keys {sorted(set(net) - {'lambda_hidden','agp_hidden'})}"
-            )
+        _known(d, ("schema", "model", "basis_k", "loss", *BLOCKS, *TOP_LEVEL), "config")
+        kw = {k: d[k] for k in TOP_LEVEL if k in d}
+        for block, keys in BLOCKS.items():
+            kw.update(_known(d.get(block, {}), keys, block))
+        for k in BLOCKS["network"]:
+            if k in kw:
+                kw[k] = tuple(kw[k])
         return cls(
             model=ModelSpec.from_json_dict(d["model"]),
             basis_k=d["basis_k"],
-            n_t=grid.get("n_t", 256),
-            n_w=grid.get("n_w", 16),
-            order=grid.get("order", 3),
-            schedule_mode=sched.get("mode", "learned"),
-            amplitude=sched.get("amplitude", 3.0),
             weights=LossWeights.from_json_dict(d.get("loss", {})),
-            lr=opt.get("lr", 1e-4),
-            epochs=opt.get("epochs", 25_000),
-            lambda_hidden=tuple(net.get("lambda_hidden", (50, 50, 50))),
-            agp_hidden=tuple(net.get("agp_hidden", (50,) * 6)),
-            seed=d.get("seed", 0),
-            initial_state=d.get("initial_state", "extremal-superposition"),
-            delta_omega_rel=d.get("delta_omega_rel", 1e-6),
-            extremal_states=d.get("extremal_states", "instantaneous"),
-            out_dir=d.get("out_dir"),
+            **kw,
         )
 
     def content_hash(self) -> str:
@@ -173,23 +124,10 @@ class RunConfig:
 
 def apply_override(config: RunConfig, key: str, raw: str) -> RunConfig:
     """Apply one dotted 'key=value' CLI override onto a config."""
-    scalar_paths = {
-        "seed": ("seed", int),
-        "epochs": ("epochs", int),
-        "lr": ("lr", float),
-        "basis_k": ("basis_k", int),
-        "n_t": ("n_t", int),
-        "n_w": ("n_w", int),
-        "order": ("order", int),
-        "schedule_mode": ("schedule_mode", str),
-        "amplitude": ("amplitude", float),
-        "initial_state": ("initial_state", str),
-        "extremal_states": ("extremal_states", str),
-        "delta_omega_rel": ("delta_omega_rel", float),
-    }
-    if key in scalar_paths:
-        attr, cast = scalar_paths[key]
-        return config.with_overrides(**{attr: cast(raw)})
+    scalars = {"seed": int, "epochs": int, "lr": float, "basis_k": int, "n_t": int,
+               "n_w": int, "order": int, "delta_omega_rel": float}
+    if key in scalars:
+        return config.with_overrides(**{key: scalars[key](raw)})
     if key.startswith("loss."):
         field_name = key.split(".", 1)[1]
         loss = LossWeights.from_json_dict(

@@ -31,11 +31,6 @@ class NetworkShape:
             raise ValueError(branch)
         return list(zip(widths[:-1], widths[1:]))
 
-    @property
-    def output_count(self) -> int:
-        """Schedule scalar plus one coefficient per basis string."""
-        return 1 + self.agp_out
-
 
 def xavier_uniform(shape: tuple[int, int], seed: int, counter: int) -> np.ndarray:
     """Uniform on +-sqrt(6 / (fan_in + fan_out)), Philox keyed by (seed, counter)."""

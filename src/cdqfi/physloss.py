@@ -28,6 +28,11 @@ class LossWeights:
     w_reg: float = 1e-2
     eps_t: float = 1.0
 
+    def __post_init__(self):
+        for name, value in self.to_json_dict().items():
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"loss weight {name}={value!r} must be finite and >= 0")
+
     def reference_mode(self) -> "LossWeights":
         """Stationarity-only configuration used for paired baseline runs."""
         return LossWeights(
@@ -62,15 +67,11 @@ def el_residual_rows(table, a_rows: Tensor, h_rows: Tensor, g_rows) -> Tensor:
     return table(Tensor.const(g_rows) - c_hat, h_rows)
 
 
-def el_loss_rows(residual_rows: Tensor) -> Tensor:
-    """Mean squared residual coefficient per time, for (n_times, M) rows."""
-    return (residual_rows * residual_rows).mean(axis=1)
-
-
-def regularizer_rows(comm_rows: Tensor) -> Tensor:
-    """Mean squared coefficient of consecutive-time commutators [H(t + dt), H(t)],
-    zero exactly when the two samples commute."""
-    return (comm_rows * comm_rows).mean(axis=1)
+def mean_square_rows(rows: Tensor) -> Tensor:
+    """Mean squared coefficient per row of (n_times, M) rows: the stationarity
+    loss of residual rows, and the regularizer of consecutive-time commutator
+    rows [H(t + dt), H(t)], zero exactly when the two samples commute."""
+    return (rows * rows).mean(axis=1)
 
 
 def _check_domain(name, value, lo, hi):

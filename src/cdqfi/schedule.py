@@ -40,7 +40,7 @@ def reference_schedule(t):
     return np.sin(np.pi * t / 2) ** 2, (np.pi / 2) * np.sin(np.pi * t)
 
 
-def learned_schedule(t, u, du_dt, amplitude: float = SAFE_AMPLITUDE):
+def learned_schedule(t, u, du_dt):
     """Constrained trainable schedule and its exact time derivative.
 
     t is a plain grid array; u and du_dt may be Tensors (training) or arrays
@@ -50,10 +50,10 @@ def learned_schedule(t, u, du_dt, amplitude: float = SAFE_AMPLITUDE):
     lam0, dlam0 = base_schedule(t)
     env, denv = correction_envelope(t)
     th = _tanh(u)
-    lam = th * (amplitude * env) + lam0
+    lam = th * (SAFE_AMPLITUDE * env) + lam0
     dlam = (
-        th * (amplitude * denv)
-        + (1.0 - th * th) * du_dt * (amplitude * env)
+        th * (SAFE_AMPLITUDE * denv)
+        + (1.0 - th * th) * du_dt * (SAFE_AMPLITUDE * env)
         + dlam0
     )
     return lam, dlam

@@ -1,12 +1,14 @@
 """Experiment orchestration: seeded training, paired baselines, evaluation.
 
-One epoch assembles the whole pipeline on the tape: network forward over the
-full grid, constrained schedule, gauge-potential rows, the stationarity and
-regularizer contractions, and the causality-weighted loss.  The total
-Hamiltonian rows at the working frequency and its two finite-difference
-neighbors enter one tape node (`propagation_node`), which materializes and
-propagates all three in complex numpy and forms F_Q and the terminal
-fidelity terms with the code evaluation runs, and has a hand-written
+One protocol is trained: the constrained learned schedule, probed by the
+balanced superposition of the sensitivity operator's extremal pair (the state
+that saturates F_Q = 4 Var).  One epoch assembles the whole pipeline on the
+tape: network forward over the full grid, the schedule, gauge-potential rows,
+the stationarity and regularizer contractions, and the causality-weighted
+loss.  The total Hamiltonian rows at the working frequency and its two
+finite-difference neighbors enter one tape node (`propagation_node`), which
+materializes and propagates all three in complex numpy and forms F_Q and the
+terminal fidelity terms with the code evaluation runs, and has a hand-written
 reverse pass.
 The causality weights and the spectral-gap normalizer are computed from the
 current epoch's concrete values and enter backward as constants.
@@ -61,13 +63,12 @@ from .network import (
 from .pauli import build_basis, build_commutator_table
 from .physloss import (
     LossBreakdown,
-    el_loss_rows,
     el_residual_rows,
-    regularizer_rows,
+    mean_square_rows,
     terminal_losses,
     total_loss,
 )
-from .schedule import learned_schedule, reference_schedule
+from .schedule import learned_schedule
 
 
 @dataclass
@@ -88,7 +89,6 @@ class TrainingContext:
     psi0: np.ndarray  # (d,)
     pair_terminal: ExtremalPair
     gap_direction: np.ndarray  # (T,): gap of the schedule-free sensitivity direction
-    probe_pair: ExtremalPair | None
     dim: int
 
     @property
@@ -115,18 +115,15 @@ def commutator_scatter(basis, support=None) -> BilinearScatter:
     return BilinearScatter(t.ii, t.jj, t.kk, t.w_imag, basis.size, basis.size)
 
 
-def probe_state(config: RunConfig, basis, grid: TimeGrid, stack: np.ndarray):
-    """Initial probe per policy; the extremal policy reads the sensitivity
-    direction at the first strictly positive grid time (the operator vanishes
-    at t = 0), whose eigenvectors are schedule-independent."""
-    spec = config.model
+def probe_state(spec, basis, grid: TimeGrid, stack: np.ndarray) -> np.ndarray:
+    """Initial probe (v_min + v_max)/sqrt(2), the balanced superposition of the
+    extremal pair of the sensitivity direction at the first strictly positive
+    grid time (the operator vanishes at t = 0), whose eigenvectors are
+    schedule-independent."""
     dim = 2**spec.q
-    if config.initial_state == "plus-product":
-        return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128), None
     row = sensitivity_direction_rows(spec, basis, grid.times[1])[0]
     pair = extremal_pair(dense_rows(row, stack, dim)[0])
-    psi0 = (pair.vec_min + pair.vec_max) / np.sqrt(2.0)
-    return psi0, pair
+    return (pair.vec_min + pair.vec_max) / np.sqrt(2.0)
 
 
 def build_context(config: RunConfig) -> TrainingContext:
@@ -148,7 +145,7 @@ def build_context(config: RunConfig) -> TrainingContext:
         dctrl[omega] = final_rows(replace(spec, omega=omega), basis, grid.times) - ini
     el_table = commutator_scatter(basis, _h_support_indices(basis, spec))
     reg_table = commutator_scatter(basis) if config.weights.w_reg != 0.0 else None
-    psi0, probe_pair = probe_state(config, basis, grid, stack)
+    psi0 = probe_state(spec, basis, grid, stack)
     direction_rows = sensitivity_direction_rows(spec, basis, grid.times)
     direction_dense = dense_rows(direction_rows, stack, dim)
     gap_direction = gap_series(direction_dense)
@@ -168,7 +165,6 @@ def build_context(config: RunConfig) -> TrainingContext:
         psi0=psi0,
         pair_terminal=pair_terminal,
         gap_direction=gap_direction,
-        probe_pair=probe_pair,
         dim=dim,
     )
 
@@ -232,16 +228,11 @@ def propagation_node(ctx: TrainingContext, rows) -> Tensor:
 
 
 def schedule_on_tape(ctx: TrainingContext, leaves):
-    """(lambda, dlambda/dt) as (n_t,) tensors for the configured mode."""
-    if ctx.config.schedule_mode == "reference":
-        lam_np, dlam_np = reference_schedule(ctx.grid.times)
-        return Tensor.const(lam_np), Tensor.const(dlam_np)
+    """(lambda, dlambda/dt) as (n_t,) tensors: the learned schedule of the
+    network's lambda branch and its forward tangent."""
     u, du = forward_lambda(leaves, ctx.shape, ctx.t_col)
     n_t = ctx.grid.n_t
-    return learned_schedule(
-        ctx.grid.times, u.reshape(n_t), du.reshape(n_t),
-        amplitude=ctx.config.amplitude,
-    )
+    return learned_schedule(ctx.grid.times, u.reshape(n_t), du.reshape(n_t))
 
 
 @dataclass
@@ -273,7 +264,7 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
     omega_c = cfg.model.omega
     h_ctrl, h_tot = hamiltonian_rows(ctx, omega_c, lam_col, dlam_col, a_rows)
 
-    el_rows = el_loss_rows(
+    el_rows = mean_square_rows(
         el_residual_rows(ctx.el_table, a_rows, h_ctrl, ctx.dctrl_rows[omega_c])
     )  # (n_t,)
 
@@ -283,7 +274,7 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
         f_q_max = frozen["f_q_max"]
     reg_rows = None
     if ctx.reg_table is not None:
-        reg_rows = regularizer_rows(ctx.reg_table(h_tot[1:], h_tot[: n_t - 1]))
+        reg_rows = mean_square_rows(ctx.reg_table(h_tot[1:], h_tot[: n_t - 1]))
 
     terminal_active = (w.w_eta != 0.0) or (w.w_balance != 0.0) or (w.w_phase != 0.0)
     eta_val = None
@@ -530,18 +521,7 @@ def evaluate_protocol(
     eta_win = f_q_win / f_q_max if eta_defined else None
     eps_eta = abs(eta_win - eta_seq) if eta_defined else None
 
-    if config.extremal_states == "time-evolved":
-        u_t = seq_central.prefix_ops[-1]
-        pair_eval = ExtremalPair(
-            val_min=ctx.probe_pair.val_min,
-            val_max=ctx.probe_pair.val_max,
-            vec_min=u_t @ ctx.probe_pair.vec_min,
-            vec_max=u_t @ ctx.probe_pair.vec_max,
-            degenerate=ctx.probe_pair.degenerate,
-        )
-    else:
-        pair_eval = ctx.pair_terminal
-    block = fidelity_block(seq_central.psi_final, pair_eval)
+    block = fidelity_block(seq_central.psi_final, ctx.pair_terminal)
 
     schr, schr_flag = schrodinger_residual(seq_central.states, h_central, grid)
     uni = unitarity_error(props_central)

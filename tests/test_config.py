@@ -35,20 +35,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_config(order=4)
 
-    def test_mode_whitelists(self):
-        with pytest.raises(ValueError):
-            make_config(schedule_mode="wiggly")
-        with pytest.raises(ValueError):
-            make_config(initial_state="bell")
-        with pytest.raises(ValueError):
-            make_config(extremal_states="both")
-
-    def test_time_evolved_reading_needs_probe_pair(self):
-        with pytest.raises(ValueError, match="no probe pair"):
-            make_config(initial_state="plus-product", extremal_states="time-evolved")
-        cfg = make_config(initial_state="plus-product")
-        with pytest.raises(ValueError, match="no probe pair"):
-            apply_override(cfg, "extremal_states", "time-evolved")
+    @pytest.mark.parametrize("name", LossWeights().to_json_dict())
+    def test_loss_weights_finite_and_non_negative(self, name):
+        for value in (-0.05, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                LossWeights(**{name: value})
+            with pytest.raises(ValueError, match=name):
+                apply_override(make_config(), f"loss.{name}", str(value))
+        # zero switches a term off, as the stationarity-only reference does
+        cfg = apply_override(make_config(), f"loss.{name}", "0")
+        assert getattr(cfg.weights, name) == 0.0
 
 
 class TestSerialization:
@@ -59,6 +55,9 @@ class TestSerialization:
         cfg.save(path)
         again = RunConfig.load(path)
         assert again == cfg
+        # every key but the required ones falls back to its field's default
+        minimal = {"schema": 2, "model": cfg.model.to_json_dict(), "basis_k": 2}
+        assert RunConfig.from_json_dict(minimal) == make_config()
 
     def test_unknown_top_level_key_rejected(self):
         d = make_config().to_json_dict()
@@ -80,6 +79,12 @@ class TestSerialization:
         d = make_config().to_json_dict()
         d["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
+            RunConfig.from_json_dict(d)
+        # a schema-1 document, with the keys schema 2 dropped, fails on its version
+        d = make_config().to_json_dict()
+        d.update(schema=1, schedule={"mode": "learned", "amplitude": 3.0},
+                 initial_state="extremal-superposition", extremal_states="instantaneous")
+        with pytest.raises(ValueError, match="unsupported config schema 1"):
             RunConfig.from_json_dict(d)
 
 
@@ -120,10 +125,3 @@ class TestOverrides:
     def test_delta_omega_scales_with_omega(self):
         cfg = make_config(model=ModelSpec("nearest-neighbor", 2, omega=2.0))
         assert cfg.delta_omega == pytest.approx(2e-6)
-
-    def test_amplitude_in_schedule_block_and_validated(self):
-        d = make_config(amplitude=2.5).to_json_dict()
-        assert d["schedule"]["amplitude"] == 2.5
-        assert RunConfig.from_json_dict(d).amplitude == 2.5
-        with pytest.raises(ValueError, match="amplitude"):
-            make_config(amplitude=3.5)

@@ -46,7 +46,6 @@ class TestInit:
         for name, value in params.items():
             if ".b" in name:
                 assert not np.any(value)
-        assert SHAPE16.output_count == 17
         assert params["lam.W3"].shape == (50, 1)
         assert params["agp.W6"].shape == (50, 16)
 

@@ -8,9 +8,8 @@ from cdqfi.pauli import build_basis
 from cdqfi.physloss import (
     LossWeights,
     causality_weights,
-    el_loss_rows,
     el_residual_rows,
-    regularizer_rows,
+    mean_square_rows,
     terminal_losses,
     total_loss,
 )
@@ -28,30 +27,30 @@ def single(letters, value):
 
 def regularizer(h_next, h_now):
     """The mean squared coefficient of [H(t + dt), H(t)] the way training forms it."""
-    return float(regularizer_rows(commutator_scatter(B1)(h_next, h_now)).data[0])
+    return float(mean_square_rows(commutator_scatter(B1)(h_next, h_now)).data[0])
 
 
 class TestElLoss:
     def test_zero(self):
-        assert el_loss_rows(Tensor.const(np.zeros((1, 16)))).data[0] == 0.0
+        assert mean_square_rows(Tensor.const(np.zeros((1, 16)))).data[0] == 0.0
 
     def test_single_imaginary_entry(self):
         # a commutator 2i P_3 = i sum_k c_k P_k has the single row entry c_3 = 2
         basis = build_basis(2, 2)
         c = project(basis, 2j * basis.dense_stack()[3]).imag
-        assert el_loss_rows(Tensor.const(c[None, :])).data[0] == 0.25
+        assert mean_square_rows(Tensor.const(c[None, :])).data[0] == 0.25
 
     def test_exact_single_qubit_gauge_potential(self):
         residual = el_residual_rows(
             commutator_scatter(B1), single("Y", -0.5), single("X", 1.0),
             single("Z", 1.0).data,
         )
-        assert el_loss_rows(residual).data[0] <= 1e-14
+        assert mean_square_rows(residual).data[0] <= 1e-14
 
     def test_rows_match_scalar_version(self):
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((5, 8))
-        got = el_loss_rows(Tensor.const(rows)).data
+        got = mean_square_rows(Tensor.const(rows)).data
         want = [np.mean(np.abs(rows[i]) ** 2) for i in range(5)]
         np.testing.assert_allclose(got, want, atol=1e-15)
 
