@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
+from .jsonio import json_fields
 from .models import ModelSpec
 from .physloss import LossWeights
 
@@ -23,13 +24,6 @@ BLOCKS = {
     "network": ("lambda_hidden", "agp_hidden"),
 }
 TOP_LEVEL = ("seed", "delta_omega_rel", "out_dir")
-
-
-def _known(d: dict, keys, what: str) -> dict:
-    unknown = set(d) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
-    return d
 
 
 @dataclass(frozen=True)
@@ -86,21 +80,18 @@ class RunConfig:
     def from_json_dict(cls, d: dict) -> "RunConfig":
         """Fields from the keys the document holds; every absent one keeps
         its dataclass default."""
-        if d.get("schema") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported config schema {d.get('schema')!r}")
-        _known(d, ("schema", "model", "basis_k", "loss", *BLOCKS, *TOP_LEVEL), "config")
-        kw = {k: d[k] for k in TOP_LEVEL if k in d}
+        schema = d.get("schema") if isinstance(d, dict) else None
+        if schema != SCHEMA_VERSION:
+            raise ValueError(f"unsupported config schema {schema!r}")
+        top = {k: v for k, v in d.items() if k not in ("schema", "loss", *BLOCKS)}
+        kw = json_fields(cls, top, "config", ("model", "basis_k", *TOP_LEVEL))
         for block, keys in BLOCKS.items():
-            kw.update(_known(d.get(block, {}), keys, block))
+            kw.update(json_fields(cls, d.get(block, {}), block, keys))
         for k in BLOCKS["network"]:
             if k in kw:
                 kw[k] = tuple(kw[k])
-        return cls(
-            model=ModelSpec.from_json_dict(d["model"]),
-            basis_k=d["basis_k"],
-            weights=LossWeights.from_json_dict(d.get("loss", {})),
-            **kw,
-        )
+        kw["model"] = ModelSpec.from_json_dict(kw["model"])
+        return cls(weights=LossWeights.from_json_dict(d.get("loss", {})), **kw)
 
     def content_hash(self) -> str:
         d = self.to_json_dict()

@@ -139,10 +139,14 @@ def _omega_vjp(h_samples, dt: float, p: int, parts, g: np.ndarray) -> np.ndarray
     return np.broadcast_to(g_h, h_samples.shape)
 
 
-def _series(x: np.ndarray, terms: int):
+TAYLOR_TERMS = 14
+
+
+def _series(x: np.ndarray):
     """The steps of `expm_taylor`: the Horner accumulators of the series at
     the scaled input, deepest first, then the result of each squaring.  The
     last value is exp(x)."""
+    terms = TAYLOR_TERMS
     norm = _max_frobenius(x)
     if not np.isfinite(norm):
         raise ValueError("non-finite generator entries")
@@ -159,23 +163,23 @@ def _series(x: np.ndarray, terms: int):
         yield acc
 
 
-def expm_taylor(x: np.ndarray, terms: int = 14) -> np.ndarray:
+def expm_taylor(x: np.ndarray) -> np.ndarray:
     """exp(x) by scaling-and-squaring with a truncated power series.
 
-    The series is applied at norm <= 1/2 where `terms` terms leave a
+    The series is applied at norm <= 1/2 where `TAYLOR_TERMS` terms leave a
     truncation residual below 1e-16; one squaring count serves the whole
     batch.  Smoothly differentiable, unlike an eigendecomposition route.
     """
-    for acc in _series(x, terms):
+    for acc in _series(x):
         pass
     return acc
 
 
-def _expm_vjp(x: np.ndarray, g: np.ndarray, terms: int = 14) -> np.ndarray:
-    """Cotangent of x from that of expm_taylor(x).  The forward steps are
-    rebuilt rather than kept, then run back: reverse squaring, then reverse
+def _expm_vjp(x: np.ndarray, g: np.ndarray, steps: list) -> np.ndarray:
+    """Cotangent of x from that of expm_taylor(x), given the forward's
+    `_series(x)` steps, which it runs back: reverse squaring, then reverse
     Horner (step k forms acc_k = I + (scaled @ acc_{k+1}) / k)."""
-    steps = list(_series(x, terms))
+    terms = TAYLOR_TERMS
     squarings = len(steps) - terms
     scale = 0.5**squarings
     for sq in reversed(steps[terms - 1:-1]):
@@ -216,7 +220,8 @@ def evolve_windowed(psi0, h_samples, grid: TimeGrid, plan: WindowPlan, p: int):
 class WindowedEvolution:
     """The windowed evolution of one (n_t, d, d) sample stack from a (d, 1)
     state, keeping what the reverse pass needs: `final` holds the (d, 1)
-    final state, `props` the (n_w, d, d) propagators.
+    final state, `props` the (n_w, d, d) propagators and `steps` the
+    `_series` steps of their exponential, whose last is `props`.
 
     Stacks are evolved one at a time: batching the three frequencies of a
     run into one pass was 1.7x slower at q=4 (one BLAS thread on a 2-vCPU
@@ -228,7 +233,8 @@ class WindowedEvolution:
         self.dt, self.p = grid.dt, p
         self.windows = _window_samples(h_samples, grid, plan)
         self.omegas, self.omega_parts = _omega_parts(self.windows, grid.dt, p)
-        self.props = expm_taylor(self.omegas)
+        self.steps = list(_series(self.omegas))
+        self.props = self.steps[-1]
         self.states = [psi0]  # the state entering each window
         for u in self.props[:-1]:
             self.states.append(u @ self.states[-1])
@@ -244,7 +250,7 @@ class WindowedEvolution:
         for w in range(len(self.states) - 1, -1, -1):
             g_props[w] = adj @ _dagger(self.states[w])
             adj = _dagger(self.props[w]) @ adj
-        g_omega = _expm_vjp(self.omegas, g_props)
+        g_omega = _expm_vjp(self.omegas, g_props, self.steps)
         g_windows = _omega_vjp(self.windows, self.dt, self.p, self.omega_parts, g_omega)
         g_h = np.array(g_windows.reshape(-1, *g_omega.shape[-2:]))
         g_h[-1] = 0.0  # the last sample carries no step

@@ -8,11 +8,12 @@ All operators are emitted as real coefficient vectors on a shared basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from .jsonio import json_fields
 from .pauli import OperatorBasis
 
 FAMILIES = {
@@ -57,15 +58,11 @@ class ModelSpec:
         return FAMILIES[self.family]
 
     def to_json_dict(self) -> dict:
-        return {"family": self.family, "q": self.q, "h": self.h, "omega": self.omega}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
-        allowed = {"family", "q", "h", "omega"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown model keys {sorted(unknown)}")
-        return cls(**d)
+        return cls(**json_fields(cls, d, "model"))
 
 
 def _check_basis(spec: ModelSpec, basis: OperatorBasis, need_pairs: bool = True):

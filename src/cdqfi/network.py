@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+from .jsonio import decode_array, encode_array, json_fields
 
 
 @dataclass(frozen=True)
 class NetworkShape:
     agp_out: int
-    lambda_hidden: tuple = (50, 50, 50)
-    agp_hidden: tuple = (50, 50, 50, 50, 50, 50)
+    lambda_hidden: tuple
+    agp_hidden: tuple
 
     def layer_dims(self, branch: str) -> list[tuple[int, int]]:
         if branch == "lam":
@@ -150,16 +151,16 @@ class AdamState:
             "beta2": self.beta2,
             "eps": self.eps,
             "step_count": self.step_count,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
+            "m": {k: encode_array(v) for k, v in self.m.items()},
+            "v": {k: encode_array(v) for k, v in self.v.items()},
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AdamState":
-        state = cls(
-            lr=d["lr"], beta1=d["beta1"], beta2=d["beta2"], eps=d["eps"],
-            step_count=d["step_count"],
-        )
-        state.m = {k: np.asarray(v) for k, v in d["m"].items()}
-        state.v = {k: np.asarray(v) for k, v in d["v"].items()}
-        return state
+        kw = json_fields(cls, d, "optimizer")
+        for name in ("m", "v"):
+            kw[name] = {
+                k: decode_array(a, f"optimizer {name}[{k!r}]")
+                for k, a in kw.get(name, {}).items()
+            }
+        return cls(**kw)

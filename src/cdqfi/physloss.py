@@ -8,11 +8,12 @@ computed from concrete per-time values and enter the total as constants
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
+from .jsonio import json_fields
 
 DOMAIN_TOL = 0.05
 
@@ -41,17 +42,11 @@ class LossWeights:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "w_el": self.w_el, "w_eta": self.w_eta, "w_balance": self.w_balance,
-            "w_phase": self.w_phase, "w_reg": self.w_reg, "eps_t": self.eps_t,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LossWeights":
-        unknown = set(d) - {"w_el", "w_eta", "w_balance", "w_phase", "w_reg", "eps_t"}
-        if unknown:
-            raise ValueError(f"unknown loss keys {sorted(unknown)}")
-        return cls(**d)
+        return cls(**json_fields(cls, d, "loss"))
 
 
 def el_residual_rows(table, a_rows: Tensor, h_rows: Tensor, g_rows) -> Tensor:

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .autodiff import BilinearScatter, Tensor, backward, custom_node
 from .config import RunConfig
+from .jsonio import decode_array, encode_array
 from .magnus import (
     SequentialResult,
     TimeGrid,
@@ -316,18 +317,20 @@ def loss_and_grads(ctx: TrainingContext, params: dict, frozen: dict | None = Non
     return result, grads
 
 
+CHECKPOINT_VERSION = 2
+
+
 def save_checkpoint(path, params: dict, optimizer: AdamState | None, config: RunConfig):
+    """JSON container whose arrays (the parameters and the optimizer's
+    moments) are `jsonio.encode_array` objects."""
     payload = {
         "format": "cdqfi-checkpoint",
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "seed": config.seed,
         "config_hash": config.content_hash(),
         "q": config.model.q,
         "basis_k": config.basis_k,
-        "params": {
-            k: {"shape": list(v.shape), "data": v.ravel().tolist()}
-            for k, v in params.items()
-        },
+        "params": {k: encode_array(v) for k, v in params.items()},
         "optimizer": optimizer.to_json_dict() if optimizer else None,
     }
     with open(path, "w") as f:
@@ -338,11 +341,17 @@ def save_checkpoint(path, params: dict, optimizer: AdamState | None, config: Run
 def load_checkpoint(path):
     with open(path) as f:
         d = json.load(f)
-    if d.get("format") != "cdqfi-checkpoint" or d.get("version") != 1:
+    if not isinstance(d, dict) or d.get("format") != "cdqfi-checkpoint":
         raise ValueError("unrecognized checkpoint container")
+    if d.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint version {d.get('version')!r}; "
+            f"re-run train to write a version {CHECKPOINT_VERSION} checkpoint"
+        )
+    if not isinstance(d.get("params"), dict):
+        raise ValueError("checkpoint has no 'params' object")
     params = {
-        k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
-        for k, v in d["params"].items()
+        k: decode_array(v, f"checkpoint params[{k!r}]") for k, v in d["params"].items()
     }
     opt = AdamState.from_json_dict(d["optimizer"]) if d.get("optimizer") else None
     return params, opt, d
@@ -632,9 +641,9 @@ def checkpoint_params(config: RunConfig, checkpoint_path) -> dict:
     """Parameters of a stored checkpoint, which must have been trained at the
     config's q and k: the network's output width is the basis size."""
     params, _, meta = load_checkpoint(checkpoint_path)
-    if meta["q"] != config.model.q or meta["basis_k"] != config.basis_k:
+    if meta.get("q") != config.model.q or meta.get("basis_k") != config.basis_k:
         raise ValueError(
-            f"checkpoint was trained at q={meta['q']}, k={meta['basis_k']}; "
+            f"checkpoint was trained at q={meta.get('q')}, k={meta.get('basis_k')}; "
             f"config asks for q={config.model.q}, k={config.basis_k}"
         )
     return params

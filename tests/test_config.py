@@ -88,6 +88,25 @@ class TestSerialization:
             RunConfig.from_json_dict(d)
 
 
+    @pytest.mark.parametrize("edit, message", [
+        # {"schema": 2, "basis_k": 2}
+        (lambda d: [d.pop(k) for k in list(d) if k not in ("schema", "basis_k")],
+         r"missing config keys \['model'\]"),
+        (lambda d: d["grid"].update(n_t="256"), "grid key 'n_t'"),
+        (lambda d: d.update(basis_k=2.0), "config key 'basis_k'"),
+        (lambda d: d["network"].update(agp_hidden=[50, "50"]), "network key 'agp_hidden'"),
+        (lambda d: d.update(optimizer=[]), "optimizer must be a JSON object"),
+        (lambda d: d["model"].pop("family"), r"missing model keys \['family'\]"),
+        (lambda d: d["model"].update(q="2"), "model key 'q'"),
+        (lambda d: d["loss"].update(w_el=None), "loss key 'w_el'"),
+    ])
+    def test_malformed_document_names_the_key(self, edit, message):
+        d = make_config().to_json_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_json_dict(d)
+
+
 class TestHash:
     def test_out_dir_excluded(self):
         a = make_config(out_dir="/tmp/a")

@@ -15,7 +15,7 @@ from cdqfi.network import (
     xavier_uniform,
 )
 
-SHAPE16 = NetworkShape(agp_out=16)
+SHAPE16 = NetworkShape(16, (50, 50, 50), (50,) * 6)
 
 
 class TestInit:
@@ -103,8 +103,8 @@ class TestForward:
 
     def test_tangent_gradient_flows_to_parameters(self):
         # d(du/dt)/dW exists: the tangent is itself differentiable
-        params = init_params(NetworkShape(agp_out=2, lambda_hidden=(4, 4, 4)), seed=3)
-        shape = NetworkShape(agp_out=2, lambda_hidden=(4, 4, 4))
+        shape = NetworkShape(2, (4, 4, 4), (50,) * 6)
+        params = init_params(shape, seed=3)
         leaves = as_leaves(params)
         _, du = forward_lambda(leaves, shape, np.array([0.3, 0.7]))
         backward((du * du).sum())
@@ -144,7 +144,7 @@ class TestOptimizer:
 
     def test_bitwise_determinism(self):
         def run():
-            params = init_params(NetworkShape(agp_out=4), seed=5)
+            params = init_params(NetworkShape(4, (50, 50, 50), (50,) * 6), seed=5)
             state = AdamState(lr=1e-4)
             rng = np.random.default_rng(0)
             for _ in range(100):

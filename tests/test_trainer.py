@@ -33,7 +33,7 @@ from cdqfi.trainer import (
     save_checkpoint,
     train,
 )
-from cdqfi.network import init_params
+from cdqfi.network import AdamState, init_params
 from oracles import commutator_coeffs, el_residual_coeffs
 
 
@@ -379,18 +379,77 @@ class TestTrainRun:
         assert ref_cfg.seed == cfg.seed
 
 
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()
         ctx = build_context(cfg)
         params = init_params(ctx.shape, cfg.seed)
+        adam = AdamState(lr=cfg.lr)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            adam.step(params, {k: rng.standard_normal(v.shape) for k, v in params.items()})
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, None, cfg)
+        save_checkpoint(path, params, adam, cfg)
         loaded, opt, meta = load_checkpoint(path)
-        assert opt is None
         assert meta["config_hash"] == cfg.content_hash()
+        assert meta["version"] == 2
+        assert opt.step_count == 3 and opt.lr == adam.lr
+        for got, want in ((loaded, params), (opt.m, adam.m), (opt.v, adam.v)):
+            assert set(got) == set(want)
+            for k in want:
+                assert _bits_equal(got[k], want[k])
+                assert got[k].dtype == np.float64 and got[k].flags.writeable
+        # the loaded state steps on as the saved one does
+        grads = {k: np.full(v.shape, 0.5) for k, v in params.items()}
+        adam.step(params, grads)
+        opt.step(loaded, grads)
+        assert all(_bits_equal(loaded[k], params[k]) for k in params)
+        save_checkpoint(path, params, None, cfg)
+        assert load_checkpoint(path)[1] is None
+
+    def test_special_values_bitwise(self, tmp_path):
+        special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.0])
+        params = {"a": special.reshape(7, 1), "b": np.zeros((0, 3)), "c": np.array(-0.0)}
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, None, tiny_config())
+        loaded = load_checkpoint(path)[0]
         for k in params:
-            assert np.array_equal(params[k], loaded[k])
+            assert _bits_equal(loaded[k], params[k])
+
+    def _document(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params(build_context(cfg).shape, cfg.seed), None, cfg)
+        with open(path) as f:
+            return path, json.load(f)
+
+    def test_version_1_rejected(self, tmp_path):
+        path, d = self._document(tmp_path)
+        d["version"] = 1
+        d["params"] = {"w": {"shape": [2], "data": [0.5, 1.0]}}
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("breakage, message", [
+        (lambda d: d.pop("params"), "'params'"),
+        (lambda d: d["params"]["lam.W0"].update(f8="not*base64"), "lam.W0.*base64"),
+        (lambda d: d["params"]["lam.b0"]["shape"].append(2), "lam.b0.*bytes do not hold"),
+        (lambda d: d["params"]["lam.b0"].update(shape=["6"]), "lam.b0.*shape"),
+        (lambda d: d["params"].update(w=[0.5, 1.0]), r"params\['w'\]"),
+        (lambda d: d.update(optimizer={"lr": "fast"}), "optimizer key 'lr'"),
+        (lambda d: d.update(optimizer={"m": {"w": {"shape": [1], "f8": ""}}}), r"m\['w'\]"),
+    ])
+    def test_malformed_entries_rejected(self, tmp_path, breakage, message):
+        path, d = self._document(tmp_path)
+        breakage(d)
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
     def test_evaluate_checkpoint_q_mismatch(self, tmp_path):
         cfg = tiny_config()
