@@ -41,7 +41,8 @@ def json_fields(cls, d, what: str, names=None) -> dict:
     """The keys of the JSON object `d` as keyword arguments of dataclass
     `cls`, after checking them against its fields.  `names` limits the
     accepted keys to those fields (one block of a grouped document);
-    each required field among them must be present."""
+    each required field among them must be present.  A JSON integer in a
+    float field comes back as a float."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
@@ -59,10 +60,19 @@ def json_fields(cls, d, what: str, names=None) -> dict:
     if missing:
         raise ValueError(f"missing {what} keys {missing}")
     hints = typing.get_type_hints(cls)
+    kw = {}
     for k, value in d.items():
         if not _holds(value, hints[k]):
             raise ValueError(f"{what} key {k!r} has the wrong type: {value!r}")
-    return dict(d)
+        if hints[k] is float:
+            # a JSON integer loads as a float, so the loaded value, and a
+            # hash of its re-serialized form, is canonical
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{what} key {k!r} is out of float range") from None
+        kw[k] = value
+    return kw
 
 
 def encode_array(a: np.ndarray) -> dict:

@@ -207,16 +207,6 @@ def _window_samples(h_samples: np.ndarray, grid: TimeGrid, plan: WindowPlan):
     return (h_samples * mask).reshape(plan.n_w, plan.m, dim, dim)
 
 
-def evolve_windowed(psi0, h_samples, grid: TimeGrid, plan: WindowPlan, p: int):
-    """Apply the n_w window propagators in time order.
-
-    Returns (final state as a (d, 1) column, the (n_w, d, d) propagator
-    stack retained for the unitarity metric).
-    """
-    evolution = WindowedEvolution(psi0, h_samples, grid, plan, p)
-    return evolution.final, evolution.props
-
-
 class WindowedEvolution:
     """The windowed evolution of one (n_t, d, d) sample stack from a (d, 1)
     state, keeping what the reverse pass needs: `final` holds the (d, 1)

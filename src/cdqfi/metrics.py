@@ -251,7 +251,3 @@ class MetricsReport:
 
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**d)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .jsonio import decode_array, encode_array, json_fields
 
 
 @dataclass(frozen=True)
@@ -111,14 +110,14 @@ class NonFiniteGradient(RuntimeError):
         self.param = name
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator floor
+
+
 @dataclass
 class AdamState:
     """Adaptive-moment optimizer state; deterministic given the update sequence."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -128,8 +127,8 @@ class AdamState:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(name)
         self.step_count += 1
-        b1c = 1.0 - self.beta1**self.step_count
-        b2c = 1.0 - self.beta2**self.step_count
+        b1c = 1.0 - BETA1**self.step_count
+        b2c = 1.0 - BETA2**self.step_count
         for name in params:
             g = grads[name]
             m = self.m.get(name)
@@ -138,29 +137,8 @@ class AdamState:
                 self.m[name] = m
                 self.v[name] = np.zeros_like(g)
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params[name] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "step_count": self.step_count,
-            "m": {k: encode_array(v) for k, v in self.m.items()},
-            "v": {k: encode_array(v) for k, v in self.v.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AdamState":
-        kw = json_fields(cls, d, "optimizer")
-        for name in ("m", "v"):
-            kw[name] = {
-                k: decode_array(a, f"optimizer {name}[{k!r}]")
-                for k, a in kw.get(name, {}).items()
-            }
-        return cls(**kw)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            params[name] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)

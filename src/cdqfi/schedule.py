@@ -9,8 +9,6 @@ never clamped: an out-of-range value is a bug, not something to clip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor
@@ -57,42 +55,3 @@ def learned_schedule(t, u, du_dt):
         + dlam0
     )
     return lam, dlam
-
-
-@dataclass(frozen=True)
-class AmplitudeReport:
-    amplitude: float
-    infimum_ratio: float
-    violations: int
-    worst_margin: float
-
-    @property
-    def safe(self) -> bool:
-        return self.violations == 0
-
-
-def verify_safe_amplitude(amplitude: float, ts=None) -> AmplitudeReport:
-    """Check K * env(t) <= min(lambda0, 1 - lambda0) on a dense grid.
-
-    Reports the empirical infimum of min(lambda0, 1-lambda0)/env over the
-    interior grid; amplitudes above it push the schedule out of [0, 1].
-    """
-    if amplitude < 0:
-        raise ValueError("amplitude must be non-negative")
-    if ts is None:
-        ts = np.linspace(0.0, 1.0, 10_001)
-    ts = np.asarray(ts, dtype=float)
-    lam0, _ = base_schedule(ts)
-    env, _ = correction_envelope(ts)
-    headroom = np.minimum(lam0, 1.0 - lam0)
-    interior = env > 0
-    ratio = headroom[interior] / env[interior]
-    infimum = float(ratio.min()) if ratio.size else np.inf
-    margins = headroom - amplitude * env
-    violations = int(np.sum(margins < -1e-15))
-    return AmplitudeReport(
-        amplitude=amplitude,
-        infimum_ratio=infimum,
-        violations=violations,
-        worst_margin=float(margins.min()) if margins.size else 0.0,
-    )

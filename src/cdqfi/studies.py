@@ -101,14 +101,6 @@ def magnus_study(
     return rows_out
 
 
-def fitted_order(rows: list[MagnusStudyRow], p: int, use_state_error=True) -> float:
-    """Log-log slope of the error against the window count for one order."""
-    sub = sorted((r for r in rows if r.p == p), key=lambda r: r.n_w)
-    xs = np.log([r.n_w for r in sub])
-    ys = np.log([r.state_error if use_state_error else r.eta_error for r in sub])
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 @dataclass
 class ScalabilityRow:
     q: int

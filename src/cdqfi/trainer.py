@@ -33,7 +33,6 @@ from .magnus import (
     WindowedEvolution,
     WindowPlan,
     evolve_sequential,
-    evolve_windowed,
 )
 from .metrics import (
     ExtremalPair,
@@ -70,6 +69,8 @@ from .physloss import (
     total_loss,
 )
 from .schedule import learned_schedule
+
+evolve_windowed = WindowedEvolution  # the name perfbench times as `magnus.windowed`
 
 
 @dataclass
@@ -196,7 +197,7 @@ def propagation_node(ctx: TrainingContext, rows) -> Tensor:
     Re(G_H stack^H) back to the rows.
     """
     evolutions = [
-        WindowedEvolution(
+        evolve_windowed(
             ctx.psi0[:, None], dense_rows(r.data, ctx.stack, ctx.dim),
             ctx.grid, ctx.plan, ctx.config.order,
         )
@@ -242,7 +243,6 @@ class EpochResult:
     leaves: dict
     breakdown: LossBreakdown
     frozen: dict
-    lam: np.ndarray
     eta: float | None
 
 
@@ -304,7 +304,7 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
         *([float(t.data) for t in terms] if terms is not None else [0.0] * 3),
         float(total.data),
     )
-    return EpochResult(total, leaves, breakdown, frozen_out, lam.data.copy(), eta_val)
+    return EpochResult(total, leaves, breakdown, frozen_out, eta_val)
 
 
 def loss_and_grads(ctx: TrainingContext, params: dict, frozen: dict | None = None):
@@ -317,12 +317,12 @@ def loss_and_grads(ctx: TrainingContext, params: dict, frozen: dict | None = Non
     return result, grads
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
-def save_checkpoint(path, params: dict, optimizer: AdamState | None, config: RunConfig):
-    """JSON container whose arrays (the parameters and the optimizer's
-    moments) are `jsonio.encode_array` objects."""
+def save_checkpoint(path, params: dict, config: RunConfig):
+    """JSON container of the trained parameters, as `jsonio.encode_array`
+    objects, and the run's identity."""
     payload = {
         "format": "cdqfi-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -331,7 +331,6 @@ def save_checkpoint(path, params: dict, optimizer: AdamState | None, config: Run
         "q": config.model.q,
         "basis_k": config.basis_k,
         "params": {k: encode_array(v) for k, v in params.items()},
-        "optimizer": optimizer.to_json_dict() if optimizer else None,
     }
     with open(path, "w") as f:
         json.dump(payload, f)
@@ -339,6 +338,7 @@ def save_checkpoint(path, params: dict, optimizer: AdamState | None, config: Run
 
 
 def load_checkpoint(path):
+    """(parameters, the container's document) of a checkpoint file."""
     with open(path) as f:
         d = json.load(f)
     if not isinstance(d, dict) or d.get("format") != "cdqfi-checkpoint":
@@ -353,8 +353,7 @@ def load_checkpoint(path):
     params = {
         k: decode_array(v, f"checkpoint params[{k!r}]") for k, v in d["params"].items()
     }
-    opt = AdamState.from_json_dict(d["optimizer"]) if d.get("optimizer") else None
-    return params, opt, d
+    return params, d
 
 
 @dataclass
@@ -419,7 +418,7 @@ def train(config: RunConfig, out_dir) -> tuple[dict, RunManifest]:
     clock["train_s"] = time.perf_counter() - t0
 
     ckpt_path = out / "checkpoint.json"
-    save_checkpoint(ckpt_path, params, adam, config)
+    save_checkpoint(ckpt_path, params, config)
 
     t0 = time.perf_counter()
     report, traces = evaluate_protocol(config, params, ctx=ctx)
@@ -502,9 +501,10 @@ def propagate_windowed(ctx: TrainingContext, h_dense: list, plan: WindowPlan, p:
     (central final state, F_Q by central differences, central window propagators)."""
     finals, props = [], []
     for h in h_dense:
-        psi_col, window_props = evolve_windowed(ctx.psi0[:, None], h, ctx.grid, plan, p)
-        finals.append(psi_col[:, 0])
-        props.append(window_props)
+        evolution = evolve_windowed(ctx.psi0[:, None], h, ctx.grid, plan, p)
+        finals.append(evolution.final[:, 0])
+        props.append(evolution.props)
+        del evolution  # keep none of its reverse-pass state
     return finals[0], qfi_from_states(*finals, ctx.config.delta_omega), props[0]
 
 
@@ -640,7 +640,7 @@ def write_evaluation_artifacts(out_dir, report: MetricsReport, traces: dict) -> 
 def checkpoint_params(config: RunConfig, checkpoint_path) -> dict:
     """Parameters of a stored checkpoint, which must have been trained at the
     config's q and k: the network's output width is the basis size."""
-    params, _, meta = load_checkpoint(checkpoint_path)
+    params, meta = load_checkpoint(checkpoint_path)
     if meta.get("q") != config.model.q or meta.get("basis_k") != config.basis_k:
         raise ValueError(
             f"checkpoint was trained at q={meta.get('q')}, k={meta.get('basis_k')}; "

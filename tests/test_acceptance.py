@@ -14,9 +14,9 @@ import pytest
 from cdqfi.config import RunConfig
 from cdqfi.magnus import (
     TimeGrid,
+    WindowedEvolution,
     WindowPlan,
     evolve_sequential,
-    evolve_windowed,
     truncation_error_bound,
 )
 from cdqfi.metrics import (
@@ -166,9 +166,9 @@ def _criterion3_state_errors():
     errors, props_all = {}, {}
     for n_w in (4, 8, 16, 32, 64):
         for p in (1, 2, 3):
-            psi, props = evolve_windowed(psi0[:, None], h, grid, WindowPlan(256, n_w), p)
-            errors[(n_w, p)] = float(np.linalg.norm(psi[:, 0] - ref))
-            props_all[(n_w, p)] = props
+            evolution = WindowedEvolution(psi0[:, None], h, grid, WindowPlan(256, n_w), p)
+            errors[(n_w, p)] = float(np.linalg.norm(evolution.final[:, 0] - ref))
+            props_all[(n_w, p)] = evolution.props
     return errors, props_all
 
 

@@ -99,6 +99,7 @@ class TestSerialization:
         (lambda d: d["model"].pop("family"), r"missing model keys \['family'\]"),
         (lambda d: d["model"].update(q="2"), "model key 'q'"),
         (lambda d: d["loss"].update(w_el=None), "loss key 'w_el'"),
+        (lambda d: d["optimizer"].update(lr=10**400), "optimizer key 'lr'"),
     ])
     def test_malformed_document_names_the_key(self, edit, message):
         d = make_config().to_json_dict()
@@ -119,6 +120,15 @@ class TestHash:
             make_config().content_hash()
             != make_config(model=ModelSpec("dipolar", 2)).content_hash()
         )
+
+    def test_integer_floats_hash_as_floats(self):
+        d = make_config(lr=1.0, weights=LossWeights(w_el=1000.0)).to_json_dict()
+        as_floats = RunConfig.from_json_dict(d)
+        d["optimizer"]["lr"], d["loss"]["w_el"] = 1, 1000
+        as_ints = RunConfig.from_json_dict(d)
+        assert type(as_ints.lr) is float and type(as_ints.weights.w_el) is float
+        assert as_ints.to_json_dict() == as_floats.to_json_dict()
+        assert as_ints.content_hash() == as_floats.content_hash()
 
 
 class TestOverrides:

@@ -10,7 +10,6 @@ from cdqfi.magnus import (
     WindowPlan,
     _omega_parts,
     evolve_sequential,
-    evolve_windowed,
     expm_taylor,
     truncation_error_bound,
 )
@@ -152,7 +151,7 @@ class TestEvolution:
         plan = WindowPlan(32, 4)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         h = np.zeros((32, 2, 2), dtype=complex)
-        psi, props = evolve_windowed(psi0[:, None], h, grid, plan, 3)
+        psi = WindowedEvolution(psi0[:, None], h, grid, plan, 3).final
         np.testing.assert_allclose(psi[:, 0], psi0, atol=1e-15)
         seq = evolve_sequential(psi0, h, grid)
         np.testing.assert_allclose(seq.psi_final, psi0, atol=1e-15)
@@ -168,7 +167,7 @@ class TestEvolution:
         psi0 /= np.linalg.norm(psi0)
         vals, vecs = np.linalg.eigh(h0)
         want = vecs @ (np.exp(-1j * vals * grid.horizon) * (vecs.conj().T @ psi0))
-        psi, _ = evolve_windowed(psi0[:, None], h, grid, plan, 1)
+        psi = WindowedEvolution(psi0[:, None], h, grid, plan, 1).final
         np.testing.assert_allclose(psi[:, 0], want, atol=1e-12)
         seq = evolve_sequential(psi0, h, grid)
         np.testing.assert_allclose(seq.psi_final, want, atol=1e-12)
@@ -191,11 +190,11 @@ class TestEvolution:
         h = smooth_hamiltonian_samples(grid, rng)
         psi0 = np.zeros(4, dtype=complex)
         psi0[0] = 1.0
-        psi_w, props = evolve_windowed(psi0[:, None], h, grid, plan, 1)
+        evolution = WindowedEvolution(psi0[:, None], h, grid, plan, 1)
         seq = evolve_sequential(psi0, h, grid)
-        np.testing.assert_allclose(psi_w[:, 0], seq.psi_final, atol=1e-14)
+        np.testing.assert_allclose(evolution.final[:, 0], seq.psi_final, atol=1e-14)
         # final window covers no step and is the identity
-        np.testing.assert_allclose(props[-1], np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(evolution.props[-1], np.eye(4), atol=1e-15)
 
     def test_norm_preserved(self):
         grid = TimeGrid(128)
@@ -204,9 +203,9 @@ class TestEvolution:
         h = smooth_hamiltonian_samples(grid, rng)
         psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi0 /= np.linalg.norm(psi0)
-        psi, props = evolve_windowed(psi0[:, None], h, grid, plan, 3)
-        assert abs(np.linalg.norm(psi[:, 0]) - 1) < 1e-11
-        for u in props:
+        evolution = WindowedEvolution(psi0[:, None], h, grid, plan, 3)
+        assert abs(np.linalg.norm(evolution.final[:, 0]) - 1) < 1e-11
+        for u in evolution.props:
             assert np.linalg.norm(u.conj().T @ u - np.eye(4)) / 4 <= 1e-12
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -222,7 +221,7 @@ class TestEvolution:
         ref = evolve_sequential(psi0, h, grid).psi_final
         errs, ns = [], [4, 8, 16, 32, 64]
         for n_w in ns:
-            psi, _ = evolve_windowed(psi0[:, None], h, grid, WindowPlan(256, n_w), p)
+            psi = WindowedEvolution(psi0[:, None], h, grid, WindowPlan(256, n_w), p).final
             errs.append(np.linalg.norm(psi[:, 0] - ref))
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
         assert slope <= -0.8 * p
@@ -282,21 +281,6 @@ def vjp_directional(evolution, g_final, direction):
 
 
 class TestDifferentiableEvolution:
-    def test_tape_path_matches_numpy_path(self):
-        # the evolution the training node keeps for its reverse pass matches
-        # evaluation's evolve_windowed bit for bit, squarings included
-        grid = TimeGrid(32)
-        plan = WindowPlan(32, 4)
-        rng = np.random.default_rng(10)
-        h = smooth_hamiltonian_samples(grid, rng) * 9
-        psi0 = np.zeros((4, 1), dtype=complex)
-        psi0[0] = 1.0
-        evolution = WindowedEvolution(psi0, h, grid, plan, 3)
-        psi, props = evolve_windowed(psi0, h, grid, plan, 3)
-        assert min_norm(evolution.omegas) > 1.0
-        assert np.array_equal(evolution.props, props)
-        assert np.array_equal(evolution.final, psi)
-
     def test_gradient_through_expm_series_dim16(self):
         # one window of one live step is a single exponential exp(-i dt H0);
         # the norm needs squarings, so the reverse squaring runs too

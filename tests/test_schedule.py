@@ -1,14 +1,49 @@
 """Schedule construction: boundary conditions, range safety, derivatives."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from cdqfi.schedule import (
     SAFE_AMPLITUDE,
+    base_schedule,
+    correction_envelope,
     learned_schedule,
     reference_schedule,
-    verify_safe_amplitude,
 )
+
+
+@dataclass(frozen=True)
+class AmplitudeReport:
+    infimum_ratio: float
+    violations: int
+    worst_margin: float
+
+    @property
+    def safe(self) -> bool:
+        return self.violations == 0
+
+
+def verify_safe_amplitude(amplitude: float) -> AmplitudeReport:
+    """Check K * env(t) <= min(lambda0, 1 - lambda0) on a dense grid.
+
+    Reports the empirical infimum of min(lambda0, 1-lambda0)/env over the
+    interior grid; amplitudes above it push the schedule out of [0, 1].
+    """
+    if amplitude < 0:
+        raise ValueError("amplitude must be non-negative")
+    ts = np.linspace(0.0, 1.0, 10_001)
+    lam0, _ = base_schedule(ts)
+    env, _ = correction_envelope(ts)
+    headroom = np.minimum(lam0, 1.0 - lam0)
+    interior = env > 0
+    margins = headroom - amplitude * env
+    return AmplitudeReport(
+        infimum_ratio=float((headroom[interior] / env[interior]).min()),
+        violations=int(np.sum(margins < -1e-15)),
+        worst_margin=float(margins.min()),
+    )
 
 
 class TestReference:

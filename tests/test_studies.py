@@ -6,13 +6,15 @@ import pytest
 from cdqfi.config import RunConfig
 from cdqfi.models import ModelSpec
 from cdqfi.network import init_params
-from cdqfi.studies import (
-    fitted_order,
-    magnus_study,
-    output_memory_gib,
-    scalability_report,
-)
+from cdqfi.studies import magnus_study, output_memory_gib, scalability_report
 from cdqfi.trainer import build_context, evaluate_protocol
+
+
+def fitted_order(rows, p: int) -> float:
+    """Log-log slope of the state error against the window count for one order."""
+    sub = sorted((r for r in rows if r.p == p), key=lambda r: r.n_w)
+    xs = np.log([r.n_w for r in sub])
+    return float(np.polyfit(xs, np.log([r.state_error for r in sub]), 1)[0])
 
 
 def study_config(**kw):

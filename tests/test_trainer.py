@@ -393,29 +393,22 @@ class TestCheckpoint:
         for _ in range(3):
             adam.step(params, {k: rng.standard_normal(v.shape) for k, v in params.items()})
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, adam, cfg)
-        loaded, opt, meta = load_checkpoint(path)
+        save_checkpoint(path, params, cfg)
+        loaded, meta = load_checkpoint(path)
+        assert set(meta) == {"format", "version", "seed", "config_hash", "q",
+                             "basis_k", "params"}
         assert meta["config_hash"] == cfg.content_hash()
-        assert meta["version"] == 2
-        assert opt.step_count == 3 and opt.lr == adam.lr
-        for got, want in ((loaded, params), (opt.m, adam.m), (opt.v, adam.v)):
-            assert set(got) == set(want)
-            for k in want:
-                assert _bits_equal(got[k], want[k])
-                assert got[k].dtype == np.float64 and got[k].flags.writeable
-        # the loaded state steps on as the saved one does
-        grads = {k: np.full(v.shape, 0.5) for k, v in params.items()}
-        adam.step(params, grads)
-        opt.step(loaded, grads)
-        assert all(_bits_equal(loaded[k], params[k]) for k in params)
-        save_checkpoint(path, params, None, cfg)
-        assert load_checkpoint(path)[1] is None
+        assert meta["version"] == 3
+        assert set(loaded) == set(params)
+        for k in params:
+            assert _bits_equal(loaded[k], params[k])
+            assert loaded[k].dtype == np.float64 and loaded[k].flags.writeable
 
     def test_special_values_bitwise(self, tmp_path):
         special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1.0])
         params = {"a": special.reshape(7, 1), "b": np.zeros((0, 3)), "c": np.array(-0.0)}
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, None, tiny_config())
+        save_checkpoint(path, params, tiny_config())
         loaded = load_checkpoint(path)[0]
         for k in params:
             assert _bits_equal(loaded[k], params[k])
@@ -423,7 +416,7 @@ class TestCheckpoint:
     def _document(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_params(build_context(cfg).shape, cfg.seed), None, cfg)
+        save_checkpoint(path, init_params(build_context(cfg).shape, cfg.seed), cfg)
         with open(path) as f:
             return path, json.load(f)
 
@@ -435,14 +428,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
+    def test_version_2_rejected(self, tmp_path):
+        path, d = self._document(tmp_path)
+        d["version"] = 2
+        d["optimizer"] = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                          "step_count": 1, "m": {}, "v": {}}
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("breakage, message", [
         (lambda d: d.pop("params"), "'params'"),
         (lambda d: d["params"]["lam.W0"].update(f8="not*base64"), "lam.W0.*base64"),
         (lambda d: d["params"]["lam.b0"]["shape"].append(2), "lam.b0.*bytes do not hold"),
         (lambda d: d["params"]["lam.b0"].update(shape=["6"]), "lam.b0.*shape"),
         (lambda d: d["params"].update(w=[0.5, 1.0]), r"params\['w'\]"),
-        (lambda d: d.update(optimizer={"lr": "fast"}), "optimizer key 'lr'"),
-        (lambda d: d.update(optimizer={"m": {"w": {"shape": [1], "f8": ""}}}), r"m\['w'\]"),
     ])
     def test_malformed_entries_rejected(self, tmp_path, breakage, message):
         path, d = self._document(tmp_path)
@@ -456,7 +456,7 @@ class TestCheckpoint:
         ctx = build_context(cfg)
         params = init_params(ctx.shape, cfg.seed)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, None, cfg)
+        save_checkpoint(path, params, cfg)
         other = tiny_config(model=ModelSpec("nearest-neighbor", 3), basis_k=2)
         with pytest.raises(ValueError, match="q=2"):
             evaluate_checkpoint(other, path)
@@ -490,16 +490,12 @@ class TestEvaluate:
         assert report.eta is None
 
     def test_metrics_json_round_trip(self, tmp_path):
-        from cdqfi.metrics import MetricsReport
-
         cfg = tiny_config()
         ctx = build_context(cfg)
         params = init_params(ctx.shape, cfg.seed)
         report, _ = evaluate_protocol(cfg, params, ctx=ctx)
-        again = MetricsReport.from_json_dict(
-            json.loads(json.dumps(report.to_json_dict()))
-        )
-        assert again.to_json_dict() == report.to_json_dict()
+        d = report.to_json_dict()
+        assert json.loads(json.dumps(d)) == d
 
     def test_generator_oracle_close_to_central_difference(self):
         cfg = tiny_config(n_t=256, n_w=16)
