@@ -51,8 +51,15 @@ def _add_common(p: argparse.ArgumentParser):
     )
 
 
+def _repeat_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _run_sweep(cfg: RunConfig, out: Path, repeats: int, runner) -> int:
-    if repeats <= 1:
+    if repeats == 1:
         _, manifest = runner(cfg, out)
         print(f"run complete: {out}  (eta={manifest.final_metrics['eta']})")
         return 0
@@ -82,13 +89,13 @@ def main(argv=None) -> int:
     p_train = sub.add_parser("train", help="train a protocol")
     _add_common(p_train)
     p_train.add_argument(
-        "--repeats", type=int, nargs="?", const=3, default=1,
+        "--repeats", type=_repeat_count, nargs="?", const=3, default=1,
         help="seed sweep: consecutive seeds from the base seed (bare flag: 3)",
     )
 
     p_base = sub.add_parser("baseline", help="stationarity-only paired reference run")
     _add_common(p_base)
-    p_base.add_argument("--repeats", type=int, nargs="?", const=3, default=1)
+    p_base.add_argument("--repeats", type=_repeat_count, nargs="?", const=3, default=1)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a trained checkpoint")
     _add_common(p_eval)

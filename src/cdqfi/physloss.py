@@ -64,8 +64,9 @@ def el_residual_rows(table, a_rows: Tensor, h_rows: Tensor, g_rows) -> Tensor:
 
 def mean_square_rows(rows: Tensor) -> Tensor:
     """Mean squared coefficient per row of (n_times, M) rows: the stationarity
-    loss of residual rows, and the regularizer of consecutive-time commutator
-    rows [H(t + dt), H(t)], zero exactly when the two samples commute."""
+    loss of residual rows, and the regularizer of the consecutive-time
+    commutator rows [H(t + dt), H(t)] of `trainer.commutator_rows`, zero
+    exactly when the two samples commute."""
     return (rows * rows).mean(axis=1)
 
 

@@ -4,12 +4,15 @@ One protocol is trained: the constrained learned schedule, probed by the
 balanced superposition of the sensitivity operator's extremal pair (the state
 that saturates F_Q = 4 Var).  One epoch assembles the whole pipeline on the
 tape: network forward over the full grid, the schedule, gauge-potential rows,
-the stationarity and regularizer contractions, and the causality-weighted
-loss.  The total Hamiltonian rows at the working frequency and its two
-finite-difference neighbors enter one tape node (`propagation_node`), which
-materializes and propagates all three in complex numpy and forms F_Q and the
-terminal fidelity terms with the code evaluation runs, and has a hand-written
-reverse pass.
+the stationarity contraction over sparse structure constants, the
+regularizer, and the causality-weighted loss.  Two tape nodes leave the
+coefficient rows for dense complex numpy, each with a hand-written reverse
+pass.  The regularizer (`commutator_rows`) materializes the total
+Hamiltonian samples and projects their consecutive commutators back onto
+the basis.  The total Hamiltonian rows at the working frequency and its two
+finite-difference neighbors enter `propagation_node`, which materializes and
+propagates all three and forms F_Q and the terminal fidelity terms with the
+code evaluation runs.
 The causality weights and the spectral-gap normalizer are computed from the
 current epoch's concrete values and enter backward as constants.
 """
@@ -32,6 +35,7 @@ from .magnus import (
     TimeGrid,
     WindowedEvolution,
     WindowPlan,
+    _comm_sym,
     evolve_sequential,
 )
 from .metrics import (
@@ -87,11 +91,14 @@ class TrainingContext:
     dctrl_rows: dict  # omega key -> (T, M): final(t) - initial
     stack: np.ndarray  # (M, d*d) complex
     el_table: BilinearScatter
-    reg_table: BilinearScatter | None
     psi0: np.ndarray  # (d,)
     pair_terminal: ExtremalPair
     gap_direction: np.ndarray  # (T,): gap of the schedule-free sensitivity direction
     dim: int
+
+    # the regularizer has no table; perfbench/layers.py::setup_layers reads
+    # this for its `pauli.reg_pairs` count
+    reg_table = None
 
     @property
     def omegas(self) -> tuple[float, float, float]:
@@ -146,7 +153,6 @@ def build_context(config: RunConfig) -> TrainingContext:
                   spec.omega - config.delta_omega):
         dctrl[omega] = final_rows(replace(spec, omega=omega), basis, grid.times) - ini
     el_table = commutator_scatter(basis, _h_support_indices(basis, spec))
-    reg_table = commutator_scatter(basis) if config.weights.w_reg != 0.0 else None
     psi0 = probe_state(spec, basis, grid, stack)
     direction_rows = sensitivity_direction_rows(spec, basis, grid.times)
     direction_dense = dense_rows(direction_rows, stack, dim)
@@ -163,7 +169,6 @@ def build_context(config: RunConfig) -> TrainingContext:
         dctrl_rows=dctrl,
         stack=stack,
         el_table=el_table,
-        reg_table=reg_table,
         psi0=psi0,
         pair_terminal=pair_terminal,
         gap_direction=gap_direction,
@@ -229,6 +234,35 @@ def propagation_node(ctx: TrainingContext, rows) -> Tensor:
     return custom_node(np.array(scalars), rows, vjp)
 
 
+def commutator_rows(ctx: TrainingContext, h_rows: Tensor) -> Tensor:
+    """Coefficient rows c_j of [H_{j+1}, H_j] = i sum_k c_k P_k for the
+    consecutive samples of an (n_t, M) row tensor, as an (n_t - 1, M) node.
+
+    The forward pass materializes the dense samples, forms every commutator
+    from one batched product and projects it onto the basis,
+    c = Im(C stack^H) / d.  The reverse pass takes the row cotangent g to
+    the anti-Hermitian G = (i/d) g stack; H_{j+1} receives [G, H_j] and H_j
+    receives [H_{j+1}, G], and Re(G_H stack^H) takes those back to the rows.
+    """
+    stack, dim = ctx.stack, ctx.dim
+    # the stack as real (M, 2 d*d), real and imaginary parts interleaved:
+    # Re(x stack^H) = x.view(float) s_re^T and g stack = (g s_re).view(complex)
+    # are each one real product, a half and a quarter of the complex flops
+    s_re = stack.view(np.float64)
+    h = dense_rows(h_rows.data, stack, dim)
+    comm = _comm_sym(h[1:], h[:-1], 1).reshape(len(h) - 1, -1)
+    coeffs = ((-1j / dim) * comm).view(np.float64) @ s_re.T  # Im(C stack^H)/d
+
+    def vjp(g, h=h):
+        big_g = ((1j / dim) * (g @ s_re).view(np.complex128)).reshape(-1, dim, dim)
+        g_h = np.zeros_like(h)
+        g_h[1:] += _comm_sym(big_g, h[:-1], -1)
+        g_h[:-1] += _comm_sym(h[1:], big_g, -1)
+        return (g_h.reshape(len(h), -1).view(np.float64) @ s_re.T,)
+
+    return custom_node(coeffs, (h_rows,), vjp)
+
+
 def schedule_on_tape(ctx: TrainingContext, leaves):
     """(lambda, dlambda/dt) as (n_t,) tensors: the learned schedule of the
     network's lambda branch and its forward tangent."""
@@ -274,8 +308,8 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
     else:
         f_q_max = frozen["f_q_max"]
     reg_rows = None
-    if ctx.reg_table is not None:
-        reg_rows = mean_square_rows(ctx.reg_table(h_tot[1:], h_tot[: n_t - 1]))
+    if w.w_reg != 0.0:
+        reg_rows = mean_square_rows(commutator_rows(ctx, h_tot))
 
     terminal_active = (w.w_eta != 0.0) or (w.w_balance != 0.0) or (w.w_phase != 0.0)
     eta_val = None
@@ -318,6 +352,8 @@ def loss_and_grads(ctx: TrainingContext, params: dict, frozen: dict | None = Non
 
 
 CHECKPOINT_VERSION = 3
+# the run's identity in a checkpoint: key -> JSON type
+_CHECKPOINT_META = {"seed": int, "config_hash": str, "q": int, "basis_k": int}
 
 
 def save_checkpoint(path, params: dict, config: RunConfig):
@@ -338,7 +374,8 @@ def save_checkpoint(path, params: dict, config: RunConfig):
 
 
 def load_checkpoint(path):
-    """(parameters, the container's document) of a checkpoint file."""
+    """(parameters, the container's document) of a checkpoint file; an
+    unknown key or a wrongly typed one raises a `ValueError` naming it."""
     with open(path) as f:
         d = json.load(f)
     if not isinstance(d, dict) or d.get("format") != "cdqfi-checkpoint":
@@ -348,6 +385,13 @@ def load_checkpoint(path):
             f"unsupported checkpoint version {d.get('version')!r}; "
             f"re-run train to write a version {CHECKPOINT_VERSION} checkpoint"
         )
+    unknown = set(d) - {"format", "version", *_CHECKPOINT_META, "params"}
+    if unknown:
+        raise ValueError(f"unknown checkpoint keys {sorted(unknown)}")
+    for key, kind in _CHECKPOINT_META.items():
+        value = d.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"checkpoint key {key!r} has the wrong type: {value!r}")
     if not isinstance(d.get("params"), dict):
         raise ValueError("checkpoint has no 'params' object")
     params = {

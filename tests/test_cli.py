@@ -127,6 +127,18 @@ def test_train_repeats_sweep(tiny_config_path, tmp_path):
     assert (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "baseline"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_repeats_below_one_rejected(tiny_config_path, tmp_path, capsys, command, count):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(tiny_config_path), "--out", str(out),
+              "--repeats", count])
+    assert err.value.code == 2
+    assert f"--repeats: must be at least 1, got {int(count)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_override_rejected(tiny_config_path):
     with pytest.raises(ValueError):
         main(["train", "--config", str(tiny_config_path), "--override", "warp=9"])

@@ -1,26 +1,43 @@
-"""The benchmark's tracer finds every program name it wraps.
+"""The benchmark's tracer finds every program name it wraps, and every
+context attribute its set-up counts read.
 
 `perfbench/layers.py` patches module attributes of `cdqfi.trainer`,
 `cdqfi.studies` and others by name and skips a name that is gone, so a
-rename would silently drop a per-layer span.  This test fails instead.
+rename would silently drop a per-layer span.  These tests fail instead.
 """
 
 import sys
 from pathlib import Path
 
+from cdqfi.cli import default_config
+from cdqfi.trainer import build_context
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_instrument_finds_every_hook():
+def _perfbench_modules():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import layers
         from spans import Tracer
     finally:
         sys.path.remove(str(PERFBENCH))
+    return layers, Tracer
+
+
+def test_instrument_finds_every_hook():
+    layers, Tracer = _perfbench_modules()
     tracer = Tracer()
     try:
         layers.instrument(tracer)
         assert tracer.missing == []
     finally:
         tracer.stop()
+
+
+def test_setup_layers_reads_the_pair_counts():
+    # the regularizer has no pair table, so only the stationarity table counts
+    layers, Tracer = _perfbench_modules()
+    out = layers.setup_layers(Tracer(), build_context(default_config()))
+    assert out["pauli.el_pairs"] == 48
+    assert out["pauli.reg_pairs"] == 0

@@ -1,5 +1,7 @@
 """Loss components against hand-evaluated values."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from cdqfi.physloss import (
     terminal_losses,
     total_loss,
 )
-from cdqfi.trainer import commutator_scatter
+from cdqfi.trainer import commutator_rows, commutator_scatter
 from oracles import project
 
 B1 = build_basis(1, 1)
+# the part of a training context that the regularizer node reads
+B1_CTX = SimpleNamespace(stack=B1.dense_stack().reshape(B1.size, 4), dim=2)
 
 
 def single(letters, value):
@@ -27,7 +31,8 @@ def single(letters, value):
 
 def regularizer(h_next, h_now):
     """The mean squared coefficient of [H(t + dt), H(t)] the way training forms it."""
-    return float(mean_square_rows(commutator_scatter(B1)(h_next, h_now)).data[0])
+    rows = Tensor.const(np.concatenate([h_now.data, h_next.data]))
+    return float(mean_square_rows(commutator_rows(B1_CTX, rows)).data[0])
 
 
 class TestElLoss:

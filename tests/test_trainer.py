@@ -18,6 +18,8 @@ from cdqfi.physloss import (
 )
 from cdqfi.trainer import (
     build_context,
+    commutator_rows,
+    commutator_scatter,
     dense_rows,
     epoch_forward,
     evaluate_checkpoint,
@@ -76,8 +78,9 @@ class TestContext:
 
     @pytest.mark.parametrize("basis_k", [3, 2])
     def test_tables_match_scalar_oracles(self, basis_k):
-        # the context's scatter tables, used the way epoch_forward uses them,
-        # against per-time dense commutators projected onto the basis
+        # the context's scatter table and the regularizer node, used the way
+        # epoch_forward uses them, against per-time dense commutators
+        # projected onto the basis
         cfg = tiny_config(model=ModelSpec("nearest-neighbor", 3), basis_k=basis_k)
         ctx = build_context(cfg)
         n_t, basis = ctx.grid.n_t, ctx.basis
@@ -92,7 +95,7 @@ class TestContext:
             ctx.el_table, Tensor.const(a), Tensor.const(ctrl), dctrl
         ).data
         el_rows = mean_square_rows(Tensor.const(residual)).data
-        comm = ctx.reg_table.apply(tot[1:], tot[:-1])
+        comm = commutator_rows(ctx, Tensor.const(tot)).data
         reg_rows = mean_square_rows(Tensor.const(comm)).data
         for t in (1, n_t // 2, n_t - 1):
             # the residual i[G, H] is -sum_k residual_k P_k
@@ -106,6 +109,46 @@ class TestContext:
             np.testing.assert_allclose(
                 reg_rows[t - 1], np.mean(np.abs(want) ** 2), rtol=1e-12
             )
+
+
+class TestCommutatorRows:
+    @pytest.mark.parametrize("q, k", [(2, 2), (3, 2), (3, 3), (4, 3)])
+    def test_matches_structure_constant_table(self, q, k):
+        # the dense node against the full pair table: its rows and the row
+        # cotangents of the next (grad_x) and the current (grad_y) sample
+        ctx = build_context(tiny_config(model=ModelSpec("nearest-neighbor", q), basis_k=k))
+        table = commutator_scatter(ctx.basis)
+        rng = np.random.default_rng(10 * q + k)
+        h = rng.standard_normal((ctx.grid.n_t, ctx.basis.size))
+        g = rng.standard_normal((ctx.grid.n_t - 1, ctx.basis.size))
+        rows = Tensor.leaf(h)
+        out = commutator_rows(ctx, rows)
+        backward((out * Tensor.const(g)).sum())
+        want = table.apply(h[1:], h[:-1])
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        want = np.zeros_like(h)
+        want[1:] += table.grad_x(g, h[:-1])
+        want[:-1] += table.grad_y(g, h[1:])
+        np.testing.assert_allclose(rows.grad, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_vjp_matches_central_differences(self):
+        # <g, rows> is quadratic in h, so the central difference has no
+        # truncation error and only rounding separates it from the VJP
+        ctx = build_context(tiny_config())
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((ctx.grid.n_t, ctx.basis.size))
+        g = rng.standard_normal((ctx.grid.n_t - 1, ctx.basis.size))
+        v = rng.standard_normal(h.shape)
+        rows = Tensor.leaf(h)
+        backward((commutator_rows(ctx, rows) * Tensor.const(g)).sum())
+
+        def value(x):
+            return float((commutator_rows(ctx, Tensor.const(x)).data * g).sum())
+
+        step = 1e-3
+        fd = (value(h + step * v) - value(h - step * v)) / (2 * step)
+        ana = float((rows.grad * v).sum())
+        assert abs(fd - ana) <= 1e-10 * abs(ana), (fd, ana)
 
 
 def check_loss_gradient(cfg, seed=3, d=1e-5, richardson=False):
@@ -443,6 +486,12 @@ class TestCheckpoint:
         (lambda d: d["params"]["lam.b0"]["shape"].append(2), "lam.b0.*bytes do not hold"),
         (lambda d: d["params"]["lam.b0"].update(shape=["6"]), "lam.b0.*shape"),
         (lambda d: d["params"].update(w=[0.5, 1.0]), r"params\['w'\]"),
+        (lambda d: d.update(optimizer={"lr": "fast"}, q="two", seed="x"),
+         "unknown checkpoint keys.*optimizer"),
+        (lambda d: d.update(seed="x"), "'seed'"),
+        (lambda d: d.update(q="two"), "'q'"),
+        (lambda d: d.update(basis_k=True), "'basis_k'"),
+        (lambda d: d.pop("config_hash"), "'config_hash'"),
     ])
     def test_malformed_entries_rejected(self, tmp_path, breakage, message):
         path, d = self._document(tmp_path)
