@@ -225,7 +225,9 @@ def custom_node(data, parents, vjp) -> Tensor:
 
 
 def backward(out: Tensor):
-    """Populate .grad on every gradient-requiring ancestor of a scalar output."""
+    """Populate .grad on every gradient-requiring leaf ancestor of a scalar
+    output.  An inner node's gradient is dropped once its reverse rule has
+    run, so the tape holds at most the cotangents still to be propagated."""
     if out.data.size != 1:
         raise ValueError("backward requires a scalar output")
     if not out.needs:
@@ -247,6 +249,7 @@ def backward(out: Tensor):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # Elements (pairs x rows) gathered per chunk: 512 KiB of float64 per temporary,

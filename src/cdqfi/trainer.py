@@ -5,14 +5,15 @@ balanced superposition of the sensitivity operator's extremal pair (the state
 that saturates F_Q = 4 Var).  One epoch assembles the whole pipeline on the
 tape: network forward over the full grid, the schedule, gauge-potential rows,
 the stationarity contraction over sparse structure constants, the
-regularizer, and the causality-weighted loss.  Two tape nodes leave the
-coefficient rows for dense complex numpy, each with a hand-written reverse
-pass.  The regularizer (`commutator_rows`) materializes the total
-Hamiltonian samples and projects their consecutive commutators back onto
-the basis.  The total Hamiltonian rows at the working frequency and its two
-finite-difference neighbors enter `propagation_node`, which materializes and
-propagates all three and forms F_Q and the terminal fidelity terms with the
-code evaluation runs.
+regularizer, and the causality-weighted loss.  One tape node, `dense_node`,
+takes coefficient rows to dense samples; its reverse pass is the adjoint
+projection `row_projection`.  The total Hamiltonian samples at the working
+frequency and its two finite-difference neighbors are materialized once per
+epoch.  The regularizer (`commutator_rows`) projects the consecutive
+commutators of the samples at the working frequency back onto the basis;
+`propagation_node` propagates all three and forms F_Q and the terminal
+fidelity terms with the code evaluation runs.  Both return dense
+cotangents, which the tape sums before the one projection per frequency.
 The causality weights and the spectral-gap normalizer are computed from the
 current epoch's concrete values and enter backward as constants.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,33 +107,12 @@ class TrainingContext:
         return (w, w + dw, w - dw)
 
 
-def _h_support_indices(basis, spec) -> np.ndarray:
-    """Basis positions the control Hamiltonian can touch (X_i, Z_i, X_i Y_j)."""
-    support = np.flatnonzero(
-        np.abs(initial_row(spec, basis))
-        + np.abs(final_rows(spec, basis, 0.0)[0])
-        + np.abs(final_rows(spec, basis, 0.5 / spec.omega)[0])
-    )
-    return support
-
-
 def commutator_scatter(basis, support=None) -> BilinearScatter:
     """Structure constants of [X, Y] for X over the basis and Y over `support`
     (default: the basis) as a real contraction: [X, Y] = i sum_k c_k P_k for
     c = table.apply(x, y) on real coefficient rows."""
     t = build_commutator_table(basis, None, support)
     return BilinearScatter(t.ii, t.jj, t.kk, t.w_imag, basis.size, basis.size)
-
-
-def probe_state(spec, basis, grid: TimeGrid, stack: np.ndarray) -> np.ndarray:
-    """Initial probe (v_min + v_max)/sqrt(2), the balanced superposition of the
-    extremal pair of the sensitivity direction at the first strictly positive
-    grid time (the operator vanishes at t = 0), whose eigenvectors are
-    schedule-independent."""
-    dim = 2**spec.q
-    row = sensitivity_direction_rows(spec, basis, grid.times[1])[0]
-    pair = extremal_pair(dense_rows(row, stack, dim)[0])
-    return (pair.vec_min + pair.vec_max) / np.sqrt(2.0)
 
 
 def build_context(config: RunConfig) -> TrainingContext:
@@ -152,11 +132,18 @@ def build_context(config: RunConfig) -> TrainingContext:
     for omega in (spec.omega, spec.omega + config.delta_omega,
                   spec.omega - config.delta_omega):
         dctrl[omega] = final_rows(replace(spec, omega=omega), basis, grid.times) - ini
-    el_table = commutator_scatter(basis, _h_support_indices(basis, spec))
-    psi0 = probe_state(spec, basis, grid, stack)
+    # the stationarity table pairs the basis with the positions the control
+    # Hamiltonian touches on the grid (X_i, Z_i, X_i Y_j)
+    support = np.flatnonzero(np.abs(ini) + np.abs(dctrl[spec.omega]).sum(axis=0))
+    el_table = commutator_scatter(basis, support)
     direction_rows = sensitivity_direction_rows(spec, basis, grid.times)
     direction_dense = dense_rows(direction_rows, stack, dim)
     gap_direction = gap_series(direction_dense)
+    # the probe (v_min + v_max)/sqrt(2) balances the extremal pair of the
+    # sensitivity direction at the first strictly positive grid time (the
+    # operator vanishes at t = 0), whose eigenvectors are schedule-independent
+    probe = extremal_pair(direction_dense[1])
+    psi0 = (probe.vec_min + probe.vec_max) / np.sqrt(2.0)
     pair_terminal = extremal_pair(direction_dense[-1])
     return TrainingContext(
         config=config,
@@ -185,34 +172,53 @@ def hamiltonian_rows(ctx: TrainingContext, omega: float, lam_col, dlam_col, a_ro
 
 
 def dense_rows(rows: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
-    """Dense (n, d, d) operators from concrete coefficient rows and the
-    (M, d*d) complex basis stack."""
-    return (rows @ stack).reshape(-1, dim, dim)
+    """Dense (n, d, d) operators from real coefficient rows and the (M, d*d)
+    complex basis stack.  The stack's real view (M, 2 d*d), real and
+    imaginary parts interleaved, makes this one real product."""
+    return (rows @ stack.view(np.float64)).view(np.complex128).reshape(-1, dim, dim)
 
 
-def propagation_node(ctx: TrainingContext, rows) -> Tensor:
+def row_projection(mats: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Re(X stack^H) as (n, M) real rows for (n, d, d) complex X, one real
+    product on the stack's real view: the adjoint of `dense_rows`."""
+    return mats.reshape(len(mats), -1).view(np.float64) @ stack.view(np.float64).T
+
+
+def dense_node(ctx: TrainingContext, rows: Tensor) -> Tensor:
+    """The dense samples of an (n, M) row tensor as a real (n, d, 2d) node
+    whose data views as the complex (n, d, d) operators.  Its cotangent, read
+    the same way, is dL/dRe + i dL/dIm, and `row_projection` takes it back to
+    the rows."""
+    dense = dense_rows(rows.data, ctx.stack, ctx.dim).view(np.float64)
+
+    def vjp(g, stack=ctx.stack):
+        return (row_projection(g.view(np.complex128), stack),)
+
+    return custom_node(dense, (rows,), vjp)
+
+
+def propagation_node(ctx: TrainingContext, samples) -> Tensor:
     """(F_Q, cos dphi, balance) of the windowed final states at the three
-    frequencies of `ctx.omegas`, from their (n_t, M) total-Hamiltonian row
+    frequencies of `ctx.omegas`, from their total-Hamiltonian `dense_node`
     tensors, as one (3,) node.
 
-    The forward pass is evaluation's: dense materialization, one windowed
-    evolution per frequency, then `qfi_from_states` and `fidelity_block` on
-    the terminal extremal pair.  The reverse pass takes the three scalar
-    cotangents to the final states, then runs `WindowedEvolution.vjp` and
-    Re(G_H stack^H) back to the rows.
+    The forward pass is evaluation's: one windowed evolution per frequency,
+    then `qfi_from_states` and `fidelity_block` on the terminal extremal
+    pair.  The reverse pass takes the three scalar cotangents to the final
+    states, then runs `WindowedEvolution.vjp` back to the dense samples.
     """
     evolutions = [
         evolve_windowed(
-            ctx.psi0[:, None], dense_rows(r.data, ctx.stack, ctx.dim),
+            ctx.psi0[:, None], h.data.view(np.complex128),
             ctx.grid, ctx.plan, ctx.config.order,
         )
-        for r in rows
+        for h in samples
     ]
     psi, psi_p, psi_m = (e.final[:, 0] for e in evolutions)
     dw, pair = ctx.config.delta_omega, ctx.pair_terminal
     block = fidelity_block(psi, pair)
 
-    def vjp(g, evolutions=evolutions, stack=ctx.stack):
+    def vjp(g, evolutions=evolutions):
         # state cotangents as dL/dRe + i dL/dIm; F_Q = 4 (|dpsi|^2 - |<psi|dpsi>|^2)
         dpsi = (psi_p - psi_m) / (2.0 * dw)
         ov = np.vdot(psi, dpsi)
@@ -227,40 +233,36 @@ def propagation_node(ctx: TrainingContext, rows) -> Tensor:
             g_min = g_min + (g[1] / s) * (c_max - (cos * p_max / s) * c_min)
             g_max = g_max + (g[1] / s) * (c_min - (cos * p_min / s) * c_max)
         g_psi = g_psi + g_min * pair.vec_min + g_max * pair.vec_max
-        g_h = np.stack([e.vjp(gp[:, None]) for e, gp in zip(evolutions, (g_psi, g_d, -g_d))])
-        return (g_h.reshape(*g_h.shape[:2], -1) @ stack.conj().T).real
+        return [e.vjp(gp[:, None]).view(np.float64)
+                for e, gp in zip(evolutions, (g_psi, g_d, -g_d))]
 
     scalars = [qfi_from_states(psi, psi_p, psi_m, dw), block.cos_dphi, block.balance]
-    return custom_node(np.array(scalars), rows, vjp)
+    return custom_node(np.array(scalars), samples, vjp)
 
 
-def commutator_rows(ctx: TrainingContext, h_rows: Tensor) -> Tensor:
+def commutator_rows(ctx: TrainingContext, samples: Tensor) -> Tensor:
     """Coefficient rows c_j of [H_{j+1}, H_j] = i sum_k c_k P_k for the
-    consecutive samples of an (n_t, M) row tensor, as an (n_t - 1, M) node.
+    consecutive samples of an (n_t, d, 2d) `dense_node` tensor, as an
+    (n_t - 1, M) node.
 
-    The forward pass materializes the dense samples, forms every commutator
-    from one batched product and projects it onto the basis,
-    c = Im(C stack^H) / d.  The reverse pass takes the row cotangent g to
-    the anti-Hermitian G = (i/d) g stack; H_{j+1} receives [G, H_j] and H_j
-    receives [H_{j+1}, G], and Re(G_H stack^H) takes those back to the rows.
+    The forward pass forms every commutator from one batched product and
+    projects it onto the basis, c = Im(C stack^H) / d.  The reverse pass
+    takes the row cotangent g to the anti-Hermitian G = (i/d) g stack;
+    H_{j+1} receives [G, H_j] and H_j receives [H_{j+1}, G].
     """
     stack, dim = ctx.stack, ctx.dim
-    # the stack as real (M, 2 d*d), real and imaginary parts interleaved:
-    # Re(x stack^H) = x.view(float) s_re^T and g stack = (g s_re).view(complex)
-    # are each one real product, a half and a quarter of the complex flops
-    s_re = stack.view(np.float64)
-    h = dense_rows(h_rows.data, stack, dim)
-    comm = _comm_sym(h[1:], h[:-1], 1).reshape(len(h) - 1, -1)
-    coeffs = ((-1j / dim) * comm).view(np.float64) @ s_re.T  # Im(C stack^H)/d
+    h = samples.data.view(np.complex128)
+    comm = _comm_sym(h[1:], h[:-1], 1)
+    coeffs = row_projection((-1j / dim) * comm, stack)  # Im(C stack^H)/d
 
     def vjp(g, h=h):
-        big_g = ((1j / dim) * (g @ s_re).view(np.complex128)).reshape(-1, dim, dim)
+        big_g = (1j / dim) * dense_rows(g, stack, dim)
         g_h = np.zeros_like(h)
         g_h[1:] += _comm_sym(big_g, h[:-1], -1)
         g_h[:-1] += _comm_sym(h[1:], big_g, -1)
-        return (g_h.reshape(len(h), -1).view(np.float64) @ s_re.T,)
+        return (g_h.view(np.float64),)
 
-    return custom_node(coeffs, (h_rows,), vjp)
+    return custom_node(coeffs, (samples,), vjp)
 
 
 def schedule_on_tape(ctx: TrainingContext, leaves):
@@ -307,21 +309,24 @@ def epoch_forward(ctx: TrainingContext, params: dict, frozen: dict | None = None
         f_q_max = qfi_max_bound(lam.data * ctx.gap_direction, ctx.grid)
     else:
         f_q_max = frozen["f_q_max"]
+    terminal_active = (w.w_eta != 0.0) or (w.w_balance != 0.0) or (w.w_phase != 0.0)
+    # the samples at omega, materialized once for the regularizer and the
+    # propagation alike
+    h_dense = dense_node(ctx, h_tot) if terminal_active or w.w_reg != 0.0 else None
     reg_rows = None
     if w.w_reg != 0.0:
-        reg_rows = mean_square_rows(commutator_rows(ctx, h_tot))
+        reg_rows = mean_square_rows(commutator_rows(ctx, h_dense))
 
-    terminal_active = (w.w_eta != 0.0) or (w.w_balance != 0.0) or (w.w_phase != 0.0)
     eta_val = None
     terms = None
     if terminal_active:
-        rows = [h_tot] + [
-            hamiltonian_rows(ctx, omega, lam_col, dlam_col, a_rows)[1]
+        samples = [h_dense] + [
+            dense_node(ctx, hamiltonian_rows(ctx, omega, lam_col, dlam_col, a_rows)[1])
             for omega in ctx.omegas[1:]
         ]
         if f_q_max <= 1e-30:
             raise ValueError("degenerate protocol: vanishing sensitivity bound")
-        scalars = propagation_node(ctx, rows)
+        scalars = propagation_node(ctx, samples)
         eta = scalars[0] * (1.0 / f_q_max)
         cos_dphi, balance = scalars[1], scalars[2]
         eta_val = float(eta.data)
@@ -411,17 +416,7 @@ class RunManifest:
     final_metrics: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": "cdqfi-manifest",
-            "version": 1,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "build": self.build,
-            "wall_clock": self.wall_clock,
-            "files": self.files,
-            "aborted": self.aborted,
-            "final_metrics": self.final_metrics,
-        }
+        return {"format": "cdqfi-manifest", "version": 1, **asdict(self)}
 
 
 def train(config: RunConfig, out_dir) -> tuple[dict, RunManifest]:

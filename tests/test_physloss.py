@@ -15,11 +15,11 @@ from cdqfi.physloss import (
     terminal_losses,
     total_loss,
 )
-from cdqfi.trainer import commutator_rows, commutator_scatter
+from cdqfi.trainer import commutator_rows, commutator_scatter, dense_node
 from oracles import project
 
 B1 = build_basis(1, 1)
-# the part of a training context that the regularizer node reads
+# the part of a training context that the dense and regularizer nodes read
 B1_CTX = SimpleNamespace(stack=B1.dense_stack().reshape(B1.size, 4), dim=2)
 
 
@@ -32,7 +32,8 @@ def single(letters, value):
 def regularizer(h_next, h_now):
     """The mean squared coefficient of [H(t + dt), H(t)] the way training forms it."""
     rows = Tensor.const(np.concatenate([h_now.data, h_next.data]))
-    return float(mean_square_rows(commutator_rows(B1_CTX, rows)).data[0])
+    samples = dense_node(B1_CTX, rows)
+    return float(mean_square_rows(commutator_rows(B1_CTX, samples)).data[0])
 
 
 class TestElLoss:

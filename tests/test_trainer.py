@@ -20,6 +20,7 @@ from cdqfi.trainer import (
     build_context,
     commutator_rows,
     commutator_scatter,
+    dense_node,
     dense_rows,
     epoch_forward,
     evaluate_checkpoint,
@@ -32,6 +33,7 @@ from cdqfi.trainer import (
     propagate_windowed,
     propagation_node,
     protocol_rows,
+    row_projection,
     save_checkpoint,
     train,
 )
@@ -95,7 +97,7 @@ class TestContext:
             ctx.el_table, Tensor.const(a), Tensor.const(ctrl), dctrl
         ).data
         el_rows = mean_square_rows(Tensor.const(residual)).data
-        comm = commutator_rows(ctx, Tensor.const(tot)).data
+        comm = commutator_rows(ctx, dense_node(ctx, Tensor.const(tot))).data
         reg_rows = mean_square_rows(Tensor.const(comm)).data
         for t in (1, n_t // 2, n_t - 1):
             # the residual i[G, H] is -sum_k residual_k P_k
@@ -111,6 +113,80 @@ class TestContext:
             )
 
 
+class TestDenseMap:
+    @staticmethod
+    def stack_rows(q, n, seed):
+        ctx = build_context(tiny_config(model=ModelSpec("nearest-neighbor", q), basis_k=q))
+        rows = np.random.default_rng(seed).standard_normal((n, ctx.basis.size))
+        return ctx, rows
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_dense_rows_matches_complex_product(self, q):
+        # the real product on the stack's real view has the complex product's
+        # bits at q = 2 and 3; at q = 4 its sums may round differently
+        ctx, rows = self.stack_rows(q, 16, q)
+        got = dense_rows(rows, ctx.stack, ctx.dim)
+        want = (rows.astype(complex) @ ctx.stack).reshape(-1, ctx.dim, ctx.dim)
+        if q < 4:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_row_projection_is_the_adjoint(self, q):
+        ctx, rows = self.stack_rows(q, 16, 10 + q)
+        rng = np.random.default_rng(q)
+        x = rng.standard_normal((16, ctx.dim, ctx.dim)) + 1j * rng.standard_normal(
+            (16, ctx.dim, ctx.dim))
+        got = row_projection(x, ctx.stack)
+        want = (x.reshape(16, -1) @ ctx.stack.conj().T).real
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        # <dense_rows(r), X> over the real parts equals <r, row_projection(X)>
+        lhs = float(np.vdot(dense_rows(rows, ctx.stack, ctx.dim), x).real)
+        rhs = float((rows * got).sum())
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    @pytest.mark.parametrize("weights, calls", [
+        (LossWeights(eps_t=0.0), 3),
+        (LossWeights(w_eta=0.0, w_balance=0.0, w_phase=0.0, eps_t=0.0), 1),
+        (LossWeights(eps_t=0.0).reference_mode(), 0),
+    ])
+    def test_each_frequency_is_materialized_once(self, weights, calls, monkeypatch):
+        # the regularizer and the propagation share the samples at omega
+        import cdqfi.trainer as trainer_mod
+
+        ctx = build_context(tiny_config(weights=weights))
+        params = init_params(ctx.shape, 5)
+        made = [0]
+        real = trainer_mod.dense_node
+
+        def counted(*args):
+            made[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(trainer_mod, "dense_node", counted)
+        loss_and_grads(ctx, params)
+        assert made[0] == calls
+
+    def test_backward_keeps_only_leaf_gradients(self):
+        ctx = build_context(tiny_config())
+        result = epoch_forward(ctx, init_params(ctx.shape, 5))
+        backward(result.total)
+        seen, todo, inner = set(), [result.total], 0
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            todo.extend(node._prev)
+            if node._backward is not None:
+                inner += 1
+                assert node.grad is None
+        assert inner > 0
+        for leaf in result.leaves.values():
+            assert leaf.grad is not None
+
+
 class TestCommutatorRows:
     @pytest.mark.parametrize("q, k", [(2, 2), (3, 2), (3, 3), (4, 3)])
     def test_matches_structure_constant_table(self, q, k):
@@ -122,7 +198,7 @@ class TestCommutatorRows:
         h = rng.standard_normal((ctx.grid.n_t, ctx.basis.size))
         g = rng.standard_normal((ctx.grid.n_t - 1, ctx.basis.size))
         rows = Tensor.leaf(h)
-        out = commutator_rows(ctx, rows)
+        out = commutator_rows(ctx, dense_node(ctx, rows))
         backward((out * Tensor.const(g)).sum())
         want = table.apply(h[1:], h[:-1])
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -140,10 +216,11 @@ class TestCommutatorRows:
         g = rng.standard_normal((ctx.grid.n_t - 1, ctx.basis.size))
         v = rng.standard_normal(h.shape)
         rows = Tensor.leaf(h)
-        backward((commutator_rows(ctx, rows) * Tensor.const(g)).sum())
+        backward((commutator_rows(ctx, dense_node(ctx, rows)) * Tensor.const(g)).sum())
 
         def value(x):
-            return float((commutator_rows(ctx, Tensor.const(x)).data * g).sum())
+            out = commutator_rows(ctx, dense_node(ctx, Tensor.const(x)))
+            return float((out.data * g).sum())
 
         step = 1e-3
         fd = (value(h + step * v) - value(h - step * v)) / (2 * step)
@@ -280,7 +357,7 @@ class TestPropagationNode:
         cfg = tiny_config(n_t=32, n_w=4)
         ctx, lam, dlam, a_rows, rows = self.context_rows(cfg, 4)
         prop = propagate_sequential(ctx, lam, dlam, a_rows, want_prefix=False)
-        node = propagation_node(ctx, [Tensor.const(r) for r in rows])
+        node = propagation_node(ctx, [dense_node(ctx, Tensor.const(r)) for r in rows])
         f_q, cos_dphi, balance = node.data
         psi, f_q_win, _ = propagate_windowed(ctx, prop.h_dense, ctx.plan, 3)
         block = fidelity_block(psi, ctx.pair_terminal)
@@ -301,7 +378,7 @@ class TestPropagationNode:
         weights = rng.standard_normal(3)
 
         def loss(rows):
-            out = propagation_node(ctx, rows)
+            out = propagation_node(ctx, [dense_node(ctx, r) for r in rows])
             return (out * Tensor.const(weights)).sum() + (out * out).sum()
 
         leaves = [Tensor.leaf(r) for r in base]
@@ -334,7 +411,7 @@ class TestPropagationNode:
         block = fidelity_block(psi, ctx.pair_terminal)
         assert 0.0 < np.sqrt(block.p_min * block.p_max) <= 1e-15
         leaves = [Tensor.leaf(r) for r in rows]
-        out = propagation_node(ctx, leaves)
+        out = propagation_node(ctx, [dense_node(ctx, leaf) for leaf in leaves])
         assert out.data[1] == 0.0
         backward(out[1])
         for leaf in leaves:
@@ -347,7 +424,7 @@ class TestPropagationNode:
         ctx, _, _, _, rows = self.context_rows(cfg, 4)
         ctx.psi0 = 2.0 * ctx.psi0
         with pytest.raises(ValueError, match="not normalized"):
-            propagation_node(ctx, [Tensor.leaf(r) for r in rows])
+            propagation_node(ctx, [dense_node(ctx, Tensor.leaf(r)) for r in rows])
 
 
 class TestTrainRun:
