@@ -68,14 +68,31 @@ def _max_frobenius(x: np.ndarray) -> float:
 
 
 def _dagger(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
+    """The conjugate transpose as a new contiguous array: a contiguous copy
+    conjugated in place is cheaper than a conjugated strided view."""
+    t = x.swapaxes(-1, -2).copy()
+    return np.conjugate(t, out=t)
+
+
+def _skew(ab: np.ndarray, sign: int) -> np.ndarray:
+    """ab - sign (ab)^H, formed in the buffer of the conjugate transpose."""
+    t = _dagger(ab)
+    return np.subtract(ab, t, out=t) if sign > 0 else np.add(ab, t, out=t)
 
 
 def _comm_sym(a, b, sign: int):
     """[a, b] from one product, for a^H = +-a and b^H = +-b: `sign` is the
     product of the two signs, and ba = sign (ab)^H."""
-    ab = a @ b
-    return ab - _dagger(ab) if sign > 0 else ab + _dagger(ab)
+    return _skew(a @ b, sign)
+
+
+def _comm_shared(x, r, sign: int):
+    """`_comm_sym(x, r, sign)` for (..., m, d, d) samples x and an
+    (..., 1, d, d) r that the m samples of a window share: one (m d, d) by
+    (d, d) product per window instead of m small ones."""
+    d = x.shape[-1]
+    xr = x.reshape(*x.shape[:-3], -1, d) @ r[..., 0, :, :]
+    return _skew(xr.reshape(x.shape), sign)
 
 
 def _omega_parts(h_samples: np.ndarray, dt: float, p: int):
@@ -127,10 +144,10 @@ def _omega_vjp(h_samples, dt: float, p: int, parts, g: np.ndarray) -> np.ndarray
         g_prefix = 0.0
         if p >= 3:
             r = (-1j * dt**3 / 6.0) * g
-            g_outer = _comm_sym(prefix, r, 1)
-            g_inner = g_inner + _comm_sym(suffix, r, 1)
-            g_prefix = _comm_sym(outer, r, -1)
-            g_suffix = _comm_sym(inner, r, -1) + _comm_sym(h_samples, g_outer, -1)
+            g_outer = _comm_shared(prefix, r, 1)
+            g_inner = g_inner + _comm_shared(suffix, r, 1)
+            g_prefix = _comm_shared(outer, r, -1)
+            g_suffix = _comm_shared(inner, r, -1) + _comm_sym(h_samples, g_outer, -1)
             g_h = g_h + _comm_sym(g_outer, suffix, -1) + (g_suffix.cumsum(-3) - g_suffix)
         g_h = g_h + _comm_sym(g_inner, prefix, -1)
         g_prefix = g_prefix + _comm_sym(h_samples, g_inner, -1)

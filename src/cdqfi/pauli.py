@@ -91,19 +91,28 @@ class OperatorBasis:
         return out
 
     def dense_stack(self) -> np.ndarray:
-        """All basis terms as dense matrices, shape (size, 2^q, 2^q). Cached."""
+        """All basis terms as dense matrices, shape (size, 2^q, 2^q).
+
+        Built in q - 1 Kronecker steps over every string at once: step s
+        multiplies the (size, n, n) stack of the first s sites by the site-s
+        matrices in `np.kron`'s operand order, so the result equals the
+        per-string kron product bit for bit, signed zeros included.  The
+        stack is cached and read-only: `build_basis` shares one basis, and
+        so one stack, among all contexts of a process.
+        """
         if self._dense_stack is None:
             if self.q > DENSE_QUBIT_CEILING:
                 raise ValueError(
                     f"dense materialization beyond {DENSE_QUBIT_CEILING} qubits"
                 )
-            dim = 2**self.q
-            stack = np.empty((self.size, dim, dim), dtype=np.complex128)
-            for i, row in enumerate(self.codes):
-                m = _SITE_MATS[row[0]]
-                for c in row[1:]:
-                    m = np.kron(m, _SITE_MATS[c])
-                stack[i] = m
+            stack = _SITE_MATS[self.codes[:, 0]]
+            for site in range(1, self.q):
+                m = _SITE_MATS[self.codes[:, site]]
+                n = 2 * stack.shape[-1]
+                stack = (stack[:, :, None, :, None] * m[:, None, :, None, :]).reshape(
+                    self.size, n, n
+                )
+            stack.setflags(write=False)
             self._dense_stack = stack
         return self._dense_stack
 

@@ -94,7 +94,8 @@ class TrainingContext:
     el_table: BilinearScatter
     psi0: np.ndarray  # (d,)
     pair_terminal: ExtremalPair
-    gap_direction: np.ndarray  # (T,): gap of the schedule-free sensitivity direction
+    direction_dense: np.ndarray  # (T, d, d): the schedule-free sensitivity direction
+    gap_direction: np.ndarray  # (T,): its eigen-gap
     dim: int
 
     # the regularizer has no table; perfbench/layers.py::setup_layers reads
@@ -158,6 +159,7 @@ def build_context(config: RunConfig) -> TrainingContext:
         el_table=el_table,
         psi0=psi0,
         pair_terminal=pair_terminal,
+        direction_dense=direction_dense,
         gap_direction=gap_direction,
         dim=dim,
     )
@@ -560,8 +562,7 @@ def evaluate_protocol(
     seq_central, h_central = prop.central, prop.h_dense[0]
 
     spec = config.model
-    sens_rows = lam[:, None] * sensitivity_direction_rows(spec, ctx.basis, grid.times)
-    sens_dense = dense_rows(sens_rows, ctx.stack, ctx.dim)
+    sens_dense = lam[:, None, None] * ctx.direction_dense
 
     f_q_max = prop.f_q_max
     eta_defined = f_q_max > 1e-30

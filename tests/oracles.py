@@ -3,6 +3,7 @@
 import numpy as np
 
 from cdqfi.metrics import qfi_from_states
+from cdqfi.pauli import _SITE_MATS
 
 
 def qfi_central_diff(evolve, omega: float, delta_omega: float):
@@ -21,6 +22,19 @@ def qfi_central_diff(evolve, omega: float, delta_omega: float):
             raise ValueError("evolved state is not normalized")
     fq = qfi_from_states(psi_c, psi_p, psi_m, delta_omega)
     return fq, (psi_c, psi_p, psi_m)
+
+
+def kron_stack(basis) -> np.ndarray:
+    """`OperatorBasis.dense_stack` one string at a time: each Pauli string as
+    the Kronecker product of its site matrices, site 0 the leftmost factor."""
+    dim = 2**basis.q
+    stack = np.empty((basis.size, dim, dim), dtype=np.complex128)
+    for i, row in enumerate(basis.codes):
+        m = _SITE_MATS[row[0]]
+        for c in row[1:]:
+            m = np.kron(m, _SITE_MATS[c])
+        stack[i] = m
+    return stack
 
 
 def dense(basis, rows) -> np.ndarray:

@@ -17,7 +17,7 @@ from cdqfi.pauli import (
 )
 from cdqfi.physloss import el_residual_rows
 from cdqfi.trainer import commutator_scatter, dense_rows
-from oracles import commutator_coeffs, dense, el_residual_coeffs, project
+from oracles import commutator_coeffs, dense, el_residual_coeffs, kron_stack, project
 
 
 def rows(basis, rng, n=None):
@@ -292,3 +292,33 @@ class TestDense:
         basis = build_basis(DENSE_QUBIT_CEILING + 1, 1)
         with pytest.raises(ValueError):
             basis.dense_stack()
+
+
+STACK_CASES = [(q, k) for q in range(1, 5) for k in range(q + 1)] + [(5, 2)]
+
+
+class TestDenseStack:
+    @pytest.mark.parametrize("q, k", STACK_CASES)
+    def test_bitwise_equal_to_kron_products(self, q, k):
+        # every bit, so the signed zeros of the kron products too
+        got, want = build_basis(q, k).dense_stack(), kron_stack(build_basis(q, k))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("q, k", [(2, 2), (3, 2), (4, 4)])
+    def test_hermitian_and_orthogonal(self, q, k):
+        stack = build_basis(q, k).dense_stack()
+        dim = stack.shape[-1]
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+        # Tr(P_a P_b) = d delta_ab
+        gram = np.einsum("aij,bji->ab", stack, stack)
+        np.testing.assert_array_equal(gram, dim * np.eye(len(stack)))
+
+    def test_cached_stack_is_read_only(self):
+        # build_basis shares one stack among every context of a process
+        stack = build_basis(2, 2).dense_stack()
+        assert stack is build_basis(2, 2).dense_stack()
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            stack.reshape(len(stack), -1)[0] = 0.0

@@ -615,6 +615,25 @@ class TestEvaluate:
         assert not report.eta_defined
         assert report.eta is None
 
+    def test_sensitivity_stack_comes_from_the_context(self, monkeypatch):
+        # three sample stacks for the sequential evolutions and one control
+        # stack; the sensitivity samples are the context's, scaled by lambda
+        import cdqfi.trainer as trainer_mod
+
+        cfg = tiny_config()
+        ctx = build_context(cfg)
+        params = init_params(ctx.shape, cfg.seed)
+        made = [0]
+        real = trainer_mod.dense_rows
+
+        def counted(*args):
+            made[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(trainer_mod, "dense_rows", counted)
+        evaluate_protocol(cfg, params, ctx=ctx)
+        assert made[0] == 4
+
     def test_metrics_json_round_trip(self, tmp_path):
         cfg = tiny_config()
         ctx = build_context(cfg)
