@@ -251,13 +251,15 @@ class WindowedEvolution:
         """(n_t, d, d) cotangent of the samples from the (d, 1) one of the
         final state, both as dL/dRe + i dL/dIm.  The adjoint state runs back
         through the windows; the window cotangents then pass through the
-        exponential and the generator of each window."""
+        exponential and the generator of each window.  Runs once: the
+        exponential's steps are freed before the generator's adjoint."""
         g_props = np.empty_like(self.props)
         adj = g_final
         for w in range(len(self.states) - 1, -1, -1):
             g_props[w] = adj @ _dagger(self.states[w])
             adj = _dagger(self.props[w]) @ adj
         g_omega = _expm_vjp(self.omegas, g_props, self.steps)
+        del self.steps, self.props, g_props
         g_windows = _omega_vjp(self.windows, self.dt, self.p, self.omega_parts, g_omega)
         g_h = np.array(g_windows.reshape(-1, *g_omega.shape[-2:]))
         g_h[-1] = 0.0  # the last sample carries no step

@@ -20,7 +20,9 @@ current epoch's concrete values and enter backward as constants.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -207,7 +209,8 @@ def propagation_node(ctx: TrainingContext, samples) -> Tensor:
     The forward pass is evaluation's: one windowed evolution per frequency,
     then `qfi_from_states` and `fidelity_block` on the terminal extremal
     pair.  The reverse pass takes the three scalar cotangents to the final
-    states, then runs `WindowedEvolution.vjp` back to the dense samples.
+    states, then runs `WindowedEvolution.vjp` back to the dense samples,
+    freeing each evolution once its adjoint has run.
     """
     evolutions = [
         evolve_windowed(
@@ -235,8 +238,8 @@ def propagation_node(ctx: TrainingContext, samples) -> Tensor:
             g_min = g_min + (g[1] / s) * (c_max - (cos * p_max / s) * c_min)
             g_max = g_max + (g[1] / s) * (c_min - (cos * p_min / s) * c_max)
         g_psi = g_psi + g_min * pair.vec_min + g_max * pair.vec_max
-        return [e.vjp(gp[:, None]).view(np.float64)
-                for e, gp in zip(evolutions, (g_psi, g_d, -g_d))]
+        return [evolutions.pop(0).vjp(gp[:, None]).view(np.float64)
+                for gp in (g_psi, g_d, -g_d)]
 
     scalars = [qfi_from_states(psi, psi_p, psi_m, dw), block.cos_dphi, block.balance]
     return custom_node(np.array(scalars), samples, vjp)
@@ -421,6 +424,23 @@ class RunManifest:
         return {"format": "cdqfi-manifest", "version": 1, **asdict(self)}
 
 
+@functools.cache
+def keep_freed_memory():
+    """Keep the memory an epoch frees in glibc's heap for the next epoch,
+    which would otherwise fault it back in page by page.  Both thresholds
+    are set: a fixed trim threshold alone turns off glibc's adaptive mmap
+    threshold.  Does nothing off glibc; moves no bit."""
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the 64-bit maximum
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: above a warm q=4 epoch's heap peak
+
+
 def train(config: RunConfig, out_dir) -> tuple[dict, RunManifest]:
     """Full-grid training; deterministic given (config, seed, build).
 
@@ -431,6 +451,7 @@ def train(config: RunConfig, out_dir) -> tuple[dict, RunManifest]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clock: dict = {}
+    keep_freed_memory()
     t0 = time.perf_counter()
     ctx = build_context(config)
     params = init_params(ctx.shape, config.seed)

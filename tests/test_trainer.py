@@ -1,11 +1,17 @@
 """Training orchestration on miniature configurations."""
 
 import json
+import os
+import subprocess
+import sys
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdqfi
 from cdqfi.autodiff import Tensor, backward
 from cdqfi.config import RunConfig
 from cdqfi.magnus import WindowedEvolution
@@ -497,6 +503,82 @@ class TestTrainRun:
         assert ref_cfg.weights.w_eta == 0.0
         assert ref_cfg.weights.w_el == cfg.weights.w_el
         assert ref_cfg.seed == cfg.seed
+
+
+# N default q=2 epochs of loss_and_grads plus Adam in a fresh process, with
+# `keep_freed_memory` called first or not: prints a digest of the loss rows
+# and final parameters, then the minor page faults of the last epoch
+_EPOCHS = """
+import dataclasses, hashlib, resource, sys
+import numpy as np
+from cdqfi import trainer
+from cdqfi.cli import default_config
+from cdqfi.network import AdamState, init_params
+heap, epochs = sys.argv[1] == "1", int(sys.argv[2])
+if heap:
+    trainer.keep_freed_memory()
+cfg = default_config()
+ctx = trainer.build_context(cfg)
+params = init_params(ctx.shape, cfg.seed)
+adam = AdamState(lr=cfg.lr)
+digest = hashlib.sha256()
+for _ in range(epochs):
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result, grads = trainer.loss_and_grads(ctx, params)
+    adam.step(params, grads)
+    row = np.array(dataclasses.astuple(result.breakdown))
+    del result, grads
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    digest.update(row.tobytes())
+for name in sorted(params):
+    digest.update(params[name].tobytes())
+print(digest.hexdigest(), faults)
+"""
+
+
+def _run_epochs(heap: bool, epochs: int):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cdqfi.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _EPOCHS, str(int(heap)), str(epochs)],
+                         env=env, capture_output=True, text=True, check=True)
+    digest, faults = out.stdout.split()
+    return digest, int(faults)
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
+
+
+class TestMemory:
+    @pytest.mark.skipif(not _glibc(), reason="the heap setting is glibc's")
+    def test_heap_setting_moves_no_bit(self):
+        assert _run_epochs(False, 20)[0] == _run_epochs(True, 20)[0]
+
+    @pytest.mark.skipif(not _glibc(), reason="the heap setting is glibc's")
+    def test_warm_epoch_faults_in_no_memory(self):
+        # without the setting a warm q=2 epoch makes about 400 minor faults
+        assert _run_epochs(True, 3)[1] < 20
+
+    def test_no_evolution_outlives_its_adjoint(self, monkeypatch):
+        import cdqfi.trainer as trainer_mod
+
+        built = []
+        real = trainer_mod.evolve_windowed
+
+        def recorded(*args):
+            evolution = real(*args)
+            built.append(weakref.ref(evolution))
+            return evolution
+
+        monkeypatch.setattr(trainer_mod, "evolve_windowed", recorded)
+        ctx = build_context(tiny_config())
+        result = epoch_forward(ctx, init_params(ctx.shape, 5))
+        assert len(built) == 3 and all(ref() is not None for ref in built)
+        backward(result.total)
+        assert [ref() for ref in built] == [None] * 3
 
 
 def _bits_equal(a, b):
