@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over real numpy tensors.
 
 Closure-per-node tape in the micrograd style, generalized to ndarrays with
-broadcasting, batched matmul and segment-sum bilinear contractions.  Every
+broadcasting, batched matmul and sparse bilinear contractions.  Every
 node is real; complex quantities live outside the tape, inside nodes with a
 hand-written reverse rule (`custom_node`), such as the windowed propagation,
 whose real output carries real and imaginary parts side by side.  Graph
@@ -252,108 +252,60 @@ def backward(out: Tensor):
             node.grad = None
 
 
-# Elements (pairs x rows) gathered per chunk: 512 KiB of float64 per temporary,
-# so a chunk's gathers, products and segment sums stay in cache.
-_CHUNK_ELEMENTS = 1 << 16
+class BilinearScatter:
+    """Sparse bilinear contraction out[.., k] = sum_p w_p x[.., i_p] y[.., j_p]
+    for the basis-projected commutators of the loss.
 
+    For a fixed Pauli string P_j, P_i -> P_i P_j is one-to-one, so each
+    column j of a commutator table is a signed partial permutation
+    src -> dst with weights w; the constructor rejects any other table.
+    Each contraction is one loop over the columns on transposed (M, n_rows)
+    operands: every gather copies whole rows, and a fancy-indexed += never
+    meets a repeated index.
+    """
 
-class _PairList:
-    """One contraction's pairs in its reduction order: out[:, r] is the sum of
-    w_p a[:, ga_p] b[:, gb_p] over the segment of pairs p with reduction
-    index r."""
+    def __init__(self, ii, jj, kk, w, size):
+        order = np.argsort(jj, kind="stable")
+        ii, jj, kk = ii[order], jj[order], kk[order]
+        w = np.asarray(w, dtype=np.float64)[order, None]
+        # column bounds: where the sorted j changes, and both ends
+        bounds = np.flatnonzero(np.diff(jj, prepend=-1, append=-1)).tolist()
+        self.size = size
+        self.n_pairs = len(w)
+        self.columns = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            src, dst = ii[lo:hi], kk[lo:hi]
+            if np.bincount(src).max() > 1 or np.bincount(dst).max() > 1:
+                raise ValueError(f"column {jj[lo]} of the table is not one-to-one")
+            self.columns.append((int(jj[lo]), src, dst, w[lo:hi]))
 
-    __slots__ = ("w", "ga", "gb", "cols", "starts", "_plans")
+    def _transposed(self, a, b):
+        """Both (n_rows, M) operands as (M, n_rows), and a zero (M, n_rows) output."""
+        T = np.ascontiguousarray
+        return T(a.T), T(b.T), np.zeros((self.size, len(a)))
 
-    def __init__(self, red, w, ga, gb):
-        self.w = w[:, None]
-        self.ga = ga
-        self.gb = gb
-        self.starts = np.flatnonzero(np.diff(red, prepend=-1))
-        self.cols = red[self.starts]
-        self._plans = {}
-
-    def _plan(self, n_rows):
-        """Chunks (lo, hi, segment starts from lo, output columns) and the
-        longest chunk for operands of n_rows rows, computed once per n_rows.
-        A chunk holds the segments that start in one window of `per` pairs,
-        so no segment is split between two chunks."""
-        plan = self._plans.get(n_rows)
-        if plan is None:
-            per = max(1, _CHUNK_ELEMENTS // max(1, n_rows))
-            seg = np.flatnonzero(np.diff(self.starts // per, prepend=-1)).tolist()
-            seg.append(len(self.starts))
-            bounds = self.starts.tolist() + [len(self.ga)]
-            chunks = [
-                (bounds[s0], bounds[s1], self.starts[s0:s1] - bounds[s0], self.cols[s0:s1])
-                for s0, s1 in zip(seg[:-1], seg[1:])
-            ]
-            longest = max(hi - lo for lo, hi, _, _ in chunks)
-            plan = self._plans[n_rows] = (chunks, longest)
-        return plan
-
-    def contract(self, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
-        n_rows = a.shape[0]
-        if len(self.ga) == 0:
-            return np.zeros((n_rows, width))
-        chunks, longest = self._plan(n_rows)
-        aT = np.ascontiguousarray(a.T)
-        bT = np.ascontiguousarray(b.T)
-        buf_a = np.empty((longest, n_rows))
-        buf_b = np.empty((longest, n_rows))
-        outT = np.zeros((width, n_rows))
-        for lo, hi, starts, cols in chunks:
-            # mode="clip" lets take write into `out` unbuffered; indices are valid
-            va = np.take(aT, self.ga[lo:hi], axis=0, out=buf_a[: hi - lo], mode="clip")
-            vb = np.take(bT, self.gb[lo:hi], axis=0, out=buf_b[: hi - lo], mode="clip")
-            np.multiply(self.w[lo:hi], va, out=va)
-            np.multiply(va, vb, out=va)
-            outT[cols] = np.add.reduceat(va, starts, axis=0)
+    def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        xT, yT, outT = self._transposed(x, y)
+        for j, src, dst, w in self.columns:
+            v = xT[src] * w
+            v *= yT[j]
+            outT[dst] += v
         # C order again: row reductions downstream sum in layout order
         return np.ascontiguousarray(outT.T)
 
-
-class BilinearScatter:
-    """Sparse bilinear contraction out[.., k] = sum_p w_p x[.., i_p] y[.., j_p].
-
-    Used for basis-projected commutators in the loss.  Each of the three
-    contractions (forward, grad_x, grad_y) keeps its own copy of the pair
-    list, sorted stably by the index it reduces over (k, i and j), with its
-    weights and both gather indices in that order.  Operands are transposed
-    to (M, n_rows), so every gather copies whole contiguous rows, and the
-    pair list is cut into chunks of about _CHUNK_ELEMENTS elements at
-    segment boundaries; each chunk is one add.reduceat along axis 0.
-
-    Results do not depend on the chunking: a segment is never split, the
-    products are formed as (w a) b, and the pairs of a segment are summed
-    in the same order as a row-major add.reduceat over w x[:, ii] y[:, jj]
-    in stable-sorted order, which this layout reproduces bit for bit.
-    """
-
-    def __init__(self, ii, jj, kk, w, in_size, out_size):
-        # the narrowest key type: numpy sorts 8- and 16-bit keys by radix
-        key = np.min_scalar_type(max(in_size, out_size))
-        order = np.argsort(kk.astype(key), kind="stable")
-        self.ii = np.ascontiguousarray(ii[order])
-        self.jj = np.ascontiguousarray(jj[order])
-        self.kk = np.ascontiguousarray(kk[order])
-        self.w = np.ascontiguousarray(np.asarray(w, dtype=np.float64)[order])
-        self.in_size = in_size
-        self.out_size = out_size
-        self.n_pairs = len(self.w)
-        self._fwd = _PairList(self.kk, self.w, self.ii, self.jj)
-        oi = np.argsort(self.ii.astype(key), kind="stable")
-        self._gx = _PairList(self.ii[oi], self.w[oi], self.kk[oi], self.jj[oi])
-        oj = np.argsort(self.jj.astype(key), kind="stable")
-        self._gy = _PairList(self.jj[oj], self.w[oj], self.kk[oj], self.ii[oj])
-
-    def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._fwd.contract(x, y, self.out_size)
-
     def grad_x(self, g, y):
-        return self._gx.contract(g, y, self.in_size)
+        gT, yT, outT = self._transposed(g, y)
+        for j, src, dst, w in self.columns:
+            v = gT[dst] * w
+            v *= yT[j]
+            outT[src] += v
+        return np.ascontiguousarray(outT.T)
 
     def grad_y(self, g, x):
-        return self._gy.contract(g, x, self.in_size)
+        gT, xT, outT = self._transposed(g, x)
+        for j, src, dst, w in self.columns:
+            outT[j] = w.T @ (xT[src] * gT[dst])
+        return np.ascontiguousarray(outT.T)
 
     def __call__(self, x: Tensor, y: Tensor) -> Tensor:
         def vjp(g, table=self):

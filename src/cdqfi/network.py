@@ -31,6 +31,15 @@ class NetworkShape:
             raise ValueError(branch)
         return list(zip(widths[:-1], widths[1:]))
 
+    def param_shapes(self) -> dict[str, tuple]:
+        """Name -> shape of each parameter `init_params` makes."""
+        return {
+            f"{branch}.{kind}{i}": dims if kind == "W" else dims[1:]
+            for branch in ("lam", "agp")
+            for i, dims in enumerate(self.layer_dims(branch))
+            for kind in "Wb"
+        }
+
 
 def xavier_uniform(shape: tuple[int, int], seed: int, counter: int) -> np.ndarray:
     """Uniform on +-sqrt(6 / (fan_in + fan_out)), Philox keyed by (seed, counter)."""

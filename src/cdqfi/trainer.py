@@ -115,7 +115,16 @@ def commutator_scatter(basis, support=None) -> BilinearScatter:
     (default: the basis) as a real contraction: [X, Y] = i sum_k c_k P_k for
     c = table.apply(x, y) on real coefficient rows."""
     t = build_commutator_table(basis, None, support)
-    return BilinearScatter(t.ii, t.jj, t.kk, t.w_imag, basis.size, basis.size)
+    return BilinearScatter(t.ii, t.jj, t.kk, t.w_imag, basis.size)
+
+
+def network_shape(config: RunConfig) -> NetworkShape:
+    """The config's layer widths; the gauge-potential output spans the basis."""
+    return NetworkShape(
+        agp_out=build_basis(config.model.q, config.basis_k).size,
+        lambda_hidden=config.lambda_hidden,
+        agp_hidden=config.agp_hidden,
+    )
 
 
 def build_context(config: RunConfig) -> TrainingContext:
@@ -123,11 +132,7 @@ def build_context(config: RunConfig) -> TrainingContext:
     basis = build_basis(spec.q, config.basis_k)
     grid = TimeGrid(config.n_t, spec.T)
     plan = WindowPlan(config.n_t, config.n_w)
-    shape = NetworkShape(
-        agp_out=basis.size,
-        lambda_hidden=config.lambda_hidden,
-        agp_hidden=config.agp_hidden,
-    )
+    shape = network_shape(config)
     dim = 2**spec.q
     stack = basis.dense_stack().reshape(basis.size, dim * dim)
     ini = initial_row(spec, basis)
@@ -700,13 +705,23 @@ def write_evaluation_artifacts(out_dir, report: MetricsReport, traces: dict) -> 
 
 def checkpoint_params(config: RunConfig, checkpoint_path) -> dict:
     """Parameters of a stored checkpoint, which must have been trained at the
-    config's q and k: the network's output width is the basis size."""
+    config's q and k and hold exactly the config's network parameters: the
+    network's output width is the basis size."""
     params, meta = load_checkpoint(checkpoint_path)
     if meta.get("q") != config.model.q or meta.get("basis_k") != config.basis_k:
         raise ValueError(
             f"checkpoint was trained at q={meta.get('q')}, k={meta.get('basis_k')}; "
             f"config asks for q={config.model.q}, k={config.basis_k}"
         )
+    want = network_shape(config).param_shapes()
+    for name in [*want, *params]:
+        have = params[name].shape if name in params else "absent"
+        need = want.get(name, "absent")
+        if have != need:
+            raise ValueError(
+                f"checkpoint parameter {name!r} is {have} in the checkpoint and "
+                f"{need} in the config's network"
+            )
     return params
 
 

@@ -56,6 +56,18 @@ def commutator_coeffs(basis, x, y) -> np.ndarray:
     return project(basis, dx @ dy - dy @ dx)
 
 
+def bilinear_loop(ii, jj, kk, w, size, x, y, g):
+    """`BilinearScatter.apply(x, y)`, `grad_x(g, y)` and `grad_y(g, x)` of the
+    pair list (ii, jj, kk, w), one pair at a time:
+    out[:, k] += w x[:, i] y[:, j] and its two adjoints."""
+    fwd, gx, gy = (np.zeros((len(x), size)) for _ in range(3))
+    for i, j, k, wp in zip(ii, jj, kk, w):
+        fwd[:, k] += wp * x[:, i] * y[:, j]
+        gx[:, i] += wp * g[:, k] * y[:, j]
+        gy[:, j] += wp * g[:, k] * x[:, i]
+    return fwd, gx, gy
+
+
 def el_residual_coeffs(basis, a, h, g) -> np.ndarray:
     """Projected coefficients of the stationarity residual [i g - [A, H], H],
     with the inner commutator projected first, by dense matrix products."""

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from cdqfi.autodiff import BilinearScatter, Tensor, backward, custom_node
+from cdqfi.models import ModelSpec, initial_row, pair_row, z_row
+from cdqfi.pauli import build_basis, build_commutator_table
+from cdqfi.trainer import commutator_scatter
+from oracles import bilinear_loop
 
 
 def fd_check(build, shapes, seed, delta=1e-5, rtol=1e-5, trials=4):
@@ -141,101 +145,58 @@ class TestBackwardMechanics:
         assert np.isfinite(a.grad[0])
 
 
-class TestBilinearScatter:
-    @staticmethod
-    def random_table(rng, m_in, m_out, n_pairs):
-        return BilinearScatter(
-            ii=rng.integers(0, m_in, n_pairs),
-            jj=rng.integers(0, m_in, n_pairs),
-            kk=rng.integers(0, m_out, n_pairs),
-            w=rng.standard_normal(n_pairs),
-            in_size=m_in,
-            out_size=m_out,
-        )
+def pauli_table(q, k, support):
+    """The basis and the raw commutator table of the (q, k) basis against the
+    terms the nearest-neighbor control Hamiltonian touches ("el") or against
+    the whole basis ("full")."""
+    basis = build_basis(q, k)
+    cols = None
+    if support == "el":
+        spec = ModelSpec("nearest-neighbor", q)
+        rows = (initial_row(spec, basis), pair_row(spec, basis), z_row(spec, basis))
+        cols = np.flatnonzero(sum(np.abs(r) for r in rows))
+    return basis, cols, build_commutator_table(basis, None, cols)
 
-    def test_forward_matches_naive(self):
-        rng = np.random.default_rng(1)
-        table = self.random_table(rng, m_in=7, m_out=5, n_pairs=30)
-        x = rng.standard_normal((4, 7))
-        y = rng.standard_normal((4, 7))
-        got = table.apply(x, y)
-        want = np.zeros((4, 5))
-        for i, j, k, w in zip(table.ii, table.jj, table.kk, table.w):
-            want[:, k] += w * x[:, i] * y[:, j]
-        np.testing.assert_allclose(got, want, atol=1e-12)
+
+class TestBilinearScatter:
+    @pytest.mark.parametrize("support", ["el", "full"])
+    @pytest.mark.parametrize("q, k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+    def test_contractions_match_pair_loop(self, q, k, support):
+        basis, cols, raw = pauli_table(q, k, support)
+        table = commutator_scatter(basis, cols)
+        assert table.n_pairs == len(raw.ii) > 0
+        rng = np.random.default_rng(10 * q + k)
+        x, y, g = (rng.standard_normal((5, basis.size)) for _ in range(3))
+        want = bilinear_loop(raw.ii, raw.jj, raw.kk, raw.w_imag, basis.size, x, y, g)
+        got = (table.apply(x, y), table.grad_x(g, y), table.grad_y(g, x))
+        for name, a, b in zip(("apply", "grad_x", "grad_y"), got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
     def test_gradients_match_fd(self):
-        rng = np.random.default_rng(2)
-        table = self.random_table(rng, m_in=5, m_out=4, n_pairs=20)
+        basis, cols, _ = pauli_table(3, 2, "el")
+        table = commutator_scatter(basis, cols)
+        m = basis.size
         fd_check(
-            lambda a, b: (table(a, b) ** 2).sum(), [(3, 5), (3, 5)], seed=3, trials=2
+            lambda a, b: (table(a, b) ** 2).sum(), [(3, m), (3, m)], seed=3, trials=2
         )
 
-    @staticmethod
-    def row_major_reduceat(red, ga, gb, w, a, b, width):
-        """out[:, r] = sum of w a[:, ga] b[:, gb] over the pairs with red == r,
-        as one row-major add.reduceat over the pairs in stable `red` order.
-
-        Rows are independent, so blocks of 32 rows give the same bits as one
-        pass over all rows and keep the (rows x pairs) temporaries small."""
-        order = np.argsort(red, kind="stable")
-        red, ga, gb, w = red[order], ga[order], gb[order], w[order]
-        cols, starts = np.unique(red, return_index=True)
-        out = np.zeros((a.shape[0], width))
-        for lo in range(0, a.shape[0], 32):
-            vals = w * a[lo : lo + 32, ga] * b[lo : lo + 32, gb]
-            out[lo : lo + 32, cols] = np.add.reduceat(vals, starts, axis=1)
-        return out
-
-    @staticmethod
-    def pair_lists(case):
-        from cdqfi.pauli import build_basis, build_commutator_table
-
-        rng = np.random.default_rng(7)
-        if case == "random-duplicates":
-            # 40 pairs over 6 x 6 inputs and 9 outputs: repeated (i, j, k)
-            # pairs, and outputs 0 and 8 receive none
-            ii = rng.integers(0, 6, 40)
-            jj = rng.integers(0, 6, 40)
-            kk = rng.integers(1, 8, 40)
-            ii[20:30], jj[20:30], kk[20:30] = ii[:10], jj[:10], kk[:10]
-            return ii, jj, kk, rng.standard_normal(40), 6, 9, 5
-        q = {"q3-full": 3, "q4-full": 4, "single-row": 4}[case]
-        basis = build_basis(q, q)
-        raw = build_commutator_table(basis)
-        rows = 1 if case == "single-row" else 255
-        return raw.ii, raw.jj, raw.kk, raw.w_imag, basis.size, basis.size, rows
-
-    @pytest.mark.parametrize(
-        "case", ["q3-full", "q4-full", "random-duplicates", "single-row"]
-    )
-    def test_bitwise_equal_to_row_major_reduceat(self, case):
-        ii, jj, kk, w, m_in, m_out, rows = self.pair_lists(case)
-        table = BilinearScatter(ii, jj, kk, w, m_in, m_out)
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((rows, m_in))
-        y = rng.standard_normal((rows, m_in))
-        g = rng.standard_normal((rows, m_out))
-        # the gradients reduce the forward (stable k-sorted) list in stable
-        # i and j order
-        order = np.argsort(kk, kind="stable")
-        ii, jj, kk, w = ii[order], jj[order], kk[order], w[order]
-        oracle = self.row_major_reduceat
-        np.testing.assert_array_equal(
-            table.apply(x, y), oracle(kk, ii, jj, w, x, y, m_out)
-        )
-        np.testing.assert_array_equal(
-            table.grad_x(g, y), oracle(ii, kk, jj, w, g, y, m_in)
-        )
-        np.testing.assert_array_equal(
-            table.grad_y(g, x), oracle(jj, kk, ii, w, g, x, m_in)
-        )
+    @pytest.mark.parametrize("repeat", ["ii", "kk"])
+    def test_rejects_column_that_is_not_one_to_one(self, repeat):
+        basis, _, raw = pauli_table(2, 2, "full")
+        ii, kk = raw.ii.copy(), raw.kk.copy()
+        j = raw.jj[0]
+        # the last pair of column j takes the source (or target) of its first
+        last = np.flatnonzero(raw.jj == j)[-1]
+        index = ii if repeat == "ii" else kk
+        index[last] = index[0]
+        with pytest.raises(ValueError, match=f"column {j} "):
+            BilinearScatter(ii, raw.jj, kk, raw.w_imag, basis.size)
 
     def test_q4_contractions_stay_in_cache_sized_temporaries(self):
         # one (rows x pairs) temporary of the full q=4 table is 255 * 32640
-        # doubles, 64 MiB; the pair-major chunks need well under 8 MiB
-        ii, jj, kk, w, m, _, rows = self.pair_lists("q4-full")
-        table = BilinearScatter(ii, jj, kk, w, m, m)
+        # doubles, 64 MiB; the per-column gathers need well under 8 MiB
+        table = commutator_scatter(build_basis(4, 4))
+        m, rows = table.size, 255
         rng = np.random.default_rng(9)
         x = rng.standard_normal((rows, m))
         y = rng.standard_normal((rows, m))
@@ -255,11 +216,10 @@ class TestBilinearScatter:
             np.array([], dtype=int),
             np.array([]),
             4,
-            3,
         )
         out = table.apply(np.ones((2, 4)), np.ones((2, 4)))
-        np.testing.assert_array_equal(out, np.zeros((2, 3)))
-        g = np.ones((2, 3))
+        np.testing.assert_array_equal(out, np.zeros((2, 4)))
+        g = np.ones((2, 4))
         np.testing.assert_array_equal(table.grad_x(g, np.ones((2, 4))), np.zeros((2, 4)))
         np.testing.assert_array_equal(table.grad_y(g, np.ones((2, 4))), np.zeros((2, 4)))
         x = Tensor.leaf(np.ones((2, 4)))

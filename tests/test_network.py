@@ -49,6 +49,10 @@ class TestInit:
         assert params["lam.W3"].shape == (50, 1)
         assert params["agp.W6"].shape == (50, 16)
 
+    def test_param_shapes_name_every_initialized_parameter(self):
+        params = init_params(SHAPE16, seed=0)
+        assert SHAPE16.param_shapes() == {name: v.shape for name, v in params.items()}
+
 
 class TestForward:
     def test_zero_parameters_zero_outputs(self):

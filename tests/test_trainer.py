@@ -24,6 +24,7 @@ from cdqfi.physloss import (
 )
 from cdqfi.trainer import (
     build_context,
+    checkpoint_params,
     commutator_rows,
     commutator_scatter,
     dense_node,
@@ -552,6 +553,31 @@ def _glibc() -> bool:
         return False
 
 
+# set-up at q=2 and q=4 in a fresh process: prints every module it imports
+_SETUP = """
+import sys
+from dataclasses import replace
+from cdqfi import trainer
+from cdqfi.cli import default_config
+from cdqfi.models import ModelSpec
+cfg = default_config()
+before = set(sys.modules)
+trainer.build_context(cfg)
+trainer.build_context(replace(cfg, model=ModelSpec("nearest-neighbor", 4), basis_k=4))
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_cold_setup_imports_no_module():
+    # a lazily imported module (numpy.ma, on np.unique's first call, takes
+    # about 10 ms) would land in every cold set-up
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cdqfi.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _SETUP], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
 class TestMemory:
     @pytest.mark.skipif(not _glibc(), reason="the heap setting is glibc's")
     def test_heap_setting_moves_no_bit(self):
@@ -658,6 +684,23 @@ class TestCheckpoint:
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("breakage, message", [
+        (lambda p: p.pop("agp.W0"), r"'agp.W0' is absent in the checkpoint and \(1, 6\)"),
+        (lambda p: p.update(extra=np.zeros(2)), r"'extra' is \(2,\) in the checkpoint and absent"),
+        (lambda p: p.update({"lam.W0": np.zeros((1, 3))}),
+         r"'lam.W0' is \(1, 3\) in the checkpoint and \(1, 6\)"),
+    ], ids=["missing", "extra", "shape"])
+    def test_parameters_must_match_the_network(self, tmp_path, breakage, message):
+        cfg = tiny_config()
+        params = init_params(build_context(cfg).shape, cfg.seed)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, cfg)
+        assert set(checkpoint_params(cfg, path)) == set(params)
+        breakage(params)
+        save_checkpoint(path, params, cfg)
+        with pytest.raises(ValueError, match=message):
+            checkpoint_params(cfg, path)
 
     def test_evaluate_checkpoint_q_mismatch(self, tmp_path):
         cfg = tiny_config()
