@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over real numpy tensors.
 
-Closure-per-node tape in the micrograd style, generalized to ndarrays with
-broadcasting, batched matmul and sparse bilinear contractions.  Every
-node is real; complex quantities live outside the tape, inside nodes with a
-hand-written reverse rule (`custom_node`), such as the windowed propagation,
-whose real output carries real and imaginary parts side by side.  Graph
-construction is eager; a node only carries a backward closure when one of
-its parents requires gradients, so constant subgraphs cost nothing in the
-backward pass.
+A tape in the micrograd style, generalized to ndarrays with broadcasting,
+batched matmul and sparse bilinear contractions.  Every node, from `a + b`
+to the windowed propagation, is made by `custom_node(value, parents, vjp)`,
+whose reverse rule maps the node's cotangent to one cotangent per parent;
+`backward` alone adds those into the parents' gradients.  Every node is
+real: complex quantities live inside hand-written nodes whose real output
+carries real and imaginary parts side by side.  A node keeps its parents
+and rule only when one of them requires gradients, so constant subgraphs
+cost nothing in the backward pass.
 """
 
 from __future__ import annotations
@@ -33,18 +34,20 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_backward", "_prev", "needs")
 
-    def __init__(self, data, prev=(), needs=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._backward = None
-        self._prev = prev
-        self.needs = needs
+        self._prev = ()
+        self.needs = False
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def leaf(data) -> "Tensor":
-        return Tensor(data, needs=True)
+        out = Tensor(data)
+        out.needs = True
+        return out
 
     @staticmethod
     def const(data) -> "Tensor":
@@ -54,39 +57,24 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _acc(self, g):
-        self.grad = g if self.grad is None else self.grad + g
-
     # -- arithmetic ---------------------------------------------------
+    # a rule holds its parents and arrays, never its own node: a cycle only gc frees
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            out = Tensor(self.data + other.data)
-            if self.needs or other.needs:
-                out.needs, out._prev = True, (self, other)
+        if not isinstance(other, Tensor):
+            return custom_node(self.data + other, (self,),
+                               lambda g, a=self: (_unbroadcast(g, a.shape),))
 
-                def bw(g, a=self, b=other):
-                    if a.needs:
-                        a._acc(_unbroadcast(g, a.shape))
-                    if b.needs:
-                        b._acc(_unbroadcast(g, b.shape))
+        def vjp(g, a=self, b=other):
+            return (_unbroadcast(g, a.shape) if a.needs else None,
+                    _unbroadcast(g, b.shape) if b.needs else None)
 
-                out._backward = bw
-            return out
-        out = Tensor(self.data + other)
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-            out._backward = lambda g, a=self: a._acc(_unbroadcast(g, a.shape))
-        return out
+        return custom_node(self.data + other.data, (self, other), vjp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data)
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-            out._backward = lambda g, a=self: a._acc(-g)
-        return out
+        return custom_node(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Tensor) else -np.asarray(other))
@@ -95,70 +83,41 @@ class Tensor:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            out = Tensor(self.data * other.data)
-            if self.needs or other.needs:
-                out.needs, out._prev = True, (self, other)
+        if not isinstance(other, Tensor):
+            return custom_node(self.data * other, (self,),
+                               lambda g, a=self, c=other: (_unbroadcast(g * c, a.shape),))
 
-                def bw(g, a=self, b=other):
-                    if a.needs:
-                        a._acc(_unbroadcast(g * b.data, a.shape))
-                    if b.needs:
-                        b._acc(_unbroadcast(g * a.data, b.shape))
+        def vjp(g, a=self, b=other):
+            return (_unbroadcast(g * b.data, a.shape) if a.needs else None,
+                    _unbroadcast(g * a.data, b.shape) if b.needs else None)
 
-                out._backward = bw
-            return out
-        c = other
-        out = Tensor(self.data * c)
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-            out._backward = lambda g, a=self, c=c: a._acc(_unbroadcast(g * c, a.shape))
-        return out
+        return custom_node(self.data * other.data, (self, other), vjp)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = Tensor(self.data**n)
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-            out._backward = lambda g, a=self, n=n: a._acc(
-                g * n * a.data ** (n - 1)
-            )
-        return out
+        return custom_node(self.data**n, (self,),
+                           lambda g, a=self, n=n: (g * n * a.data ** (n - 1),))
 
     def __matmul__(self, other):
         assert isinstance(other, Tensor)
         assert self.data.ndim >= 2 and other.data.ndim >= 2
-        out = Tensor(self.data @ other.data)
-        if self.needs or other.needs:
-            out.needs, out._prev = True, (self, other)
 
-            def bw(g, a=self, b=other):
-                if a.needs:
-                    a._acc(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-                if b.needs:
-                    b._acc(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        def vjp(g, a=self, b=other):
+            return (_unbroadcast(g @ b.data.mT, a.shape) if a.needs else None,
+                    _unbroadcast(a.data.mT @ g, b.shape) if b.needs else None)
 
-            out._backward = bw
-        return out
+        return custom_node(self.data @ other.data, (self, other), vjp)
 
     # -- elementwise nonlinearities ------------------------------------
 
-    def _unary(self, value, dfn):
-        out = Tensor(value)
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-            # the closure holds the output array, not the node: a node that its
-            # own closure references is a cycle only the collector can free
-            out._backward = lambda g, a=self, y=out.data: a._acc(g * dfn(y))
-        return out
-
     def tanh(self):
-        return self._unary(np.tanh(self.data), lambda y: 1.0 - y * y)
+        y = np.tanh(self.data)
+        return custom_node(y, (self,), lambda g, y=y: (g * (1.0 - y * y),))
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
-        return self._unary(y, lambda y: y * (1.0 - y))
+        return custom_node(y, (self,), lambda g, y=y: (g * (y * (1.0 - y)),))
 
     def silu(self):
         """x * sigmoid(x), the hidden-layer activation."""
@@ -167,17 +126,12 @@ class Tensor:
     # -- shape and reductions ------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
-        if self.needs:
-            out.needs, out._prev = True, (self,)
+        def vjp(g, a=self, axis=axis, keepdims=keepdims):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, a.shape),)
 
-            def bw(g, a=self, axis=axis, keepdims=keepdims):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                a._acc(np.broadcast_to(g, a.shape))
-
-            out._backward = bw
-        return out
+        return custom_node(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -186,48 +140,36 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape))
-        if self.needs:
-            out.needs, out._prev = True, (self,)
-            out._backward = lambda g, a=self: a._acc(g.reshape(a.shape))
-        return out
+        return custom_node(self.data.reshape(shape), (self,),
+                           lambda g, a=self: (g.reshape(a.shape),))
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx])
-        if self.needs:
-            out.needs, out._prev = True, (self,)
+        def vjp(g, a=self, idx=idx):
+            z = np.zeros(a.shape)
+            np.add.at(z, idx, g)
+            return (z,)
 
-            def bw(g, a=self, idx=idx):
-                z = np.zeros(a.shape)
-                np.add.at(z, idx, g)
-                a._acc(z)
-
-            out._backward = bw
-        return out
+        return custom_node(self.data[idx], (self,), vjp)
 
 
 def custom_node(data, parents, vjp) -> Tensor:
-    """A node computed outside the tape, with a hand-written reverse rule:
-    vjp(g) returns one cotangent per parent, in order (entries for parents
-    that need no gradient are ignored)."""
+    """The tape's one way to make a node: `data` computed from `parents`, with
+    the reverse rule vjp(g), which returns one cotangent per parent, in order.
+    `backward` ignores the entry of a parent that needs no gradient, so a rule
+    may return None there; when no parent needs one, the node keeps no rule."""
     out = Tensor(data)
-    parents = tuple(parents)
-    if any(p.needs for p in parents):
-        out.needs, out._prev = True, parents
-
-        def bw(g, parents=parents, vjp=vjp):
-            for p, gp in zip(parents, vjp(g)):
-                if p.needs:
-                    p._acc(gp)
-
-        out._backward = bw
+    for p in parents:
+        if p.needs:
+            out.needs, out._prev, out._backward = True, tuple(parents), vjp
+            break
     return out
 
 
 def backward(out: Tensor):
     """Populate .grad on every gradient-requiring leaf ancestor of a scalar
-    output.  An inner node's gradient is dropped once its reverse rule has
-    run, so the tape holds at most the cotangents still to be propagated."""
+    output, adding each node's reverse-rule cotangents into its parents'
+    gradients.  An inner node's gradient is dropped once its rule has run,
+    so the tape holds at most the cotangents still to be propagated."""
     if out.data.size != 1:
         raise ValueError("backward requires a scalar output")
     if not out.needs:
@@ -248,7 +190,9 @@ def backward(out: Tensor):
     out.grad = np.ones_like(out.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            for p, gp in zip(node._prev, node._backward(node.grad)):
+                if p.needs:
+                    p.grad = gp if p.grad is None else p.grad + gp
             node.grad = None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .jsonio import json_fields
@@ -55,8 +56,12 @@ class RunConfig:
             raise ValueError("order must be 1, 2, or 3")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr={self.lr!r} must be finite and positive")
+        for name in BLOCKS["network"]:
+            widths = getattr(self, name)
+            if not all(isinstance(w, int) and w > 0 for w in widths):
+                raise ValueError(f"{name}={widths!r}: widths must be positive integers")
         if not 0 < self.delta_omega_rel < 1e-2:
             raise ValueError("delta_omega_rel out of sane range")
 

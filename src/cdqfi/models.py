@@ -49,8 +49,10 @@ class ModelSpec:
         object.__setattr__(self, "family", canonical_family(self.family))
         if self.q < 2:
             raise ValueError("at least two qubits required")
-        if self.h <= 0 or self.omega <= 0:
-            raise ValueError("h and omega must be positive")
+        for name in ("h", "omega"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"model {name}={value!r} must be finite and positive")
 
     @property
     def alpha(self) -> float | None:

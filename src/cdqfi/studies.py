@@ -13,6 +13,7 @@ from .pauli import build_basis
 from .schedule import reference_schedule
 from .trainer import (
     build_context,
+    keep_freed_memory,
     propagate_sequential,
     propagate_windowed,
     protocol_rows,
@@ -44,6 +45,7 @@ def magnus_study(
     """
     if not n_w_list or not p_list:
         raise ValueError("need at least one window count and one order")
+    keep_freed_memory()
     ctx = build_context(config)
     grid = ctx.grid
     if params is None:

@@ -727,6 +727,7 @@ def checkpoint_params(config: RunConfig, checkpoint_path) -> dict:
 
 def evaluate_checkpoint(config: RunConfig, checkpoint_path, out_dir=None):
     """Evaluate a stored checkpoint against a (possibly overridden) config."""
+    keep_freed_memory()
     report, traces = evaluate_protocol(config, checkpoint_params(config, checkpoint_path))
     if out_dir is not None:
         write_evaluation_artifacts(out_dir, report, traces)

@@ -115,6 +115,29 @@ class TestBackwardMechanics:
         out = (a * b).sum()
         assert not out.needs and out._backward is None
 
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a + 2.0, lambda a, b: -a,
+        lambda a, b: a - b, lambda a, b: 1.0 - a, lambda a, b: a * b,
+        lambda a, b: a * 2.0, lambda a, b: a**3, lambda a, b: a @ b,
+        lambda a, b: a.tanh(), lambda a, b: a.sigmoid(), lambda a, b: a.silu(),
+        lambda a, b: a.sum(axis=0), lambda a, b: a.mean(), lambda a, b: a.reshape(9),
+        lambda a, b: a[1:, :2],
+    ])
+    def test_each_operator_on_constants_builds_no_graph(self, op):
+        a, b = Tensor.const(np.ones((3, 3))), Tensor.const(np.ones((3, 3)))
+        out = op(a, b)
+        assert not out.needs and out._backward is None and out._prev == ()
+
+    def test_backward_skips_none_for_a_constant_parent(self):
+        a, c = Tensor.leaf(np.array([2.0, 3.0])), Tensor.const(np.array([5.0, 7.0]))
+        # one rule gives None for the constant parent, the other a cotangent
+        # that backward must ignore as well
+        skipped = custom_node(a.data * c.data, (c, a), lambda g: (None, g * c.data))
+        ignored = custom_node(a.data * c.data, (c, a), lambda g: (g * a.data, g * c.data))
+        backward((skipped + ignored).sum())
+        np.testing.assert_array_equal(a.grad, [10.0, 14.0])
+        assert c.grad is None
+
     def test_grad_accumulates_over_reuse(self):
         a = Tensor.leaf(np.array([2.0]))
         out = (a * a + a * 3.0).sum()

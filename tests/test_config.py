@@ -46,6 +46,30 @@ class TestValidation:
         cfg = apply_override(make_config(), f"loss.{name}", "0")
         assert getattr(cfg.weights, name) == 0.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_lr_finite(self, value):
+        with pytest.raises(ValueError, match="lr="):
+            make_config(lr=float(value))
+        with pytest.raises(ValueError, match="lr="):
+            apply_override(make_config(), "lr", value)
+
+    @pytest.mark.parametrize("name, value", [("h", "inf"), ("omega", "nan")])
+    def test_model_field_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"model {name}="):
+            ModelSpec("nearest-neighbor", 2, **{name: float(value)})
+        with pytest.raises(ValueError, match=f"model {name}="):
+            apply_override(make_config(), f"model.{name}", value)
+
+    @pytest.mark.parametrize("name", ["lambda_hidden", "agp_hidden"])
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_hidden_widths_positive(self, name, width):
+        with pytest.raises(ValueError, match=name):
+            make_config(**{name: (4, width)})
+        d = make_config().to_json_dict()
+        d["network"][name] = [width]
+        with pytest.raises(ValueError, match=name):
+            RunConfig.from_json_dict(d)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

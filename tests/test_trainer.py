@@ -606,6 +606,24 @@ class TestMemory:
         backward(result.total)
         assert [ref() for ref in built] == [None] * 3
 
+    def test_evaluate_and_study_keep_freed_memory_first(self, monkeypatch):
+        import cdqfi.studies as studies_mod
+        import cdqfi.trainer as trainer_mod
+
+        class Called(Exception):
+            pass
+
+        def called():
+            raise Called
+
+        monkeypatch.setattr(trainer_mod, "keep_freed_memory", called)
+        monkeypatch.setattr(studies_mod, "keep_freed_memory", called)
+        # both raise before reading the (absent) checkpoint or building a context
+        with pytest.raises(Called):
+            trainer_mod.evaluate_checkpoint(tiny_config(), "no-such-checkpoint.json")
+        with pytest.raises(Called):
+            studies_mod.magnus_study(tiny_config(), [4], [1])
+
 
 def _bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
