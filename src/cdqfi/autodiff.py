@@ -1,14 +1,15 @@
 """Reverse-mode automatic differentiation over real numpy tensors.
 
-A tape in the micrograd style, generalized to ndarrays with broadcasting,
-batched matmul and sparse bilinear contractions.  Every node, from `a + b`
-to the windowed propagation, is made by `custom_node(value, parents, vjp)`,
-whose reverse rule maps the node's cotangent to one cotangent per parent;
-`backward` alone adds those into the parents' gradients.  Every node is
-real: complex quantities live inside hand-written nodes whose real output
-carries real and imaginary parts side by side.  A node keeps its parents
-and rule only when one of them requires gradients, so constant subgraphs
-cost nothing in the backward pass.
+A tape in the micrograd style, generalized to ndarrays with broadcasting
+and sparse bilinear contractions; matrix products live only inside
+hand-written nodes (the network branches, the propagation).  Every node,
+from `a + b` to the windowed propagation, is made by `custom_node(value,
+parents, vjp)`, whose reverse rule maps the node's cotangent to one
+cotangent per parent; `backward` alone adds those into the parents'
+gradients.  Every node is real: complex quantities live inside
+hand-written nodes whose real output carries real and imaginary parts side
+by side.  A node keeps its parents and rule only when one of them requires
+gradients, so constant subgraphs cost nothing in the backward pass.
 """
 
 from __future__ import annotations
@@ -99,29 +100,11 @@ class Tensor:
         return custom_node(self.data**n, (self,),
                            lambda g, a=self, n=n: (g * n * a.data ** (n - 1),))
 
-    def __matmul__(self, other):
-        assert isinstance(other, Tensor)
-        assert self.data.ndim >= 2 and other.data.ndim >= 2
-
-        def vjp(g, a=self, b=other):
-            return (_unbroadcast(g @ b.data.mT, a.shape) if a.needs else None,
-                    _unbroadcast(a.data.mT @ g, b.shape) if b.needs else None)
-
-        return custom_node(self.data @ other.data, (self, other), vjp)
-
     # -- elementwise nonlinearities ------------------------------------
 
     def tanh(self):
         y = np.tanh(self.data)
         return custom_node(y, (self,), lambda g, y=y: (g * (1.0 - y * y),))
-
-    def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
-        return custom_node(y, (self,), lambda g, y=y: (g * (y * (1.0 - y)),))
-
-    def silu(self):
-        """x * sigmoid(x), the hidden-layer activation."""
-        return self * self.sigmoid()
 
     # -- shape and reductions ------------------------------------------
 

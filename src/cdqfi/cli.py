@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_override
+from .config import RunConfig, apply_overrides
 from .models import ModelSpec
 
 
@@ -22,8 +22,7 @@ def _load_config(args) -> RunConfig:
     for ov in args.override or []:
         if "=" not in ov:
             raise SystemExit(f"override {ov!r} is not key=value")
-        key, raw = ov.split("=", 1)
-        cfg = apply_override(cfg, key, raw)
+    cfg = apply_overrides(cfg, dict(ov.split("=", 1) for ov in args.override or []))
     if args.seed is not None:
         cfg = cfg.with_overrides(seed=args.seed)
     if args.out is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 from .jsonio import json_fields
@@ -25,6 +26,9 @@ BLOCKS = {
     "network": ("lambda_hidden", "agp_hidden"),
 }
 TOP_LEVEL = ("seed", "delta_omega_rel", "out_dir")
+# the keys an override may set besides those of the loss and model blocks
+SCALARS = ("seed", "epochs", "lr", "basis_k", "n_t", "n_w", "order",
+           "delta_omega_rel")
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,10 @@ class RunConfig:
             raise ValueError("pair couplings require basis_k >= 2")
         if self.n_w < 1:
             raise ValueError(f"n_w={self.n_w} must be at least 1")
-        if self.n_t < 2 or self.n_t % self.n_w != 0:
+        if self.n_t < 3:
+            raise ValueError(f"n_t={self.n_t} must be at least 3: evaluation "
+                             "differentiates the states in time")
+        if self.n_t % self.n_w != 0:
             raise ValueError(f"n_t={self.n_t} must be divisible by n_w={self.n_w}")
         if self.order not in (1, 2, 3):
             raise ValueError("order must be 1, 2, or 3")
@@ -118,30 +125,20 @@ class RunConfig:
             return cls.from_json_dict(json.load(f))
 
 
-def apply_override(config: RunConfig, key: str, raw: str) -> RunConfig:
-    """Apply one dotted 'key=value' CLI override onto a config."""
-    scalars = {"seed": int, "epochs": int, "lr": float, "basis_k": int, "n_t": int,
-               "n_w": int, "order": int, "delta_omega_rel": float}
-    if key in scalars:
-        return config.with_overrides(**{key: scalars[key](raw)})
-    if key.startswith("loss."):
-        field_name = key.split(".", 1)[1]
-        loss = LossWeights.from_json_dict(
-            {**config.weights.to_json_dict(), field_name: float(raw)}
-        )
-        return config.with_overrides(weights=loss)
-    if key.startswith("model."):
-        field_name = key.split(".", 1)[1]
-        model = ModelSpec.from_json_dict(
-            {**config.model.to_json_dict(), field_name: _model_cast(field_name, raw)}
-        )
-        return config.with_overrides(model=model)
-    raise ValueError(f"unknown override key {key!r}")
-
-
-def _model_cast(field_name: str, raw: str):
-    if field_name == "q":
-        return int(raw)
-    if field_name == "family":
-        return raw
-    return float(raw)
+def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
+    """`config` with CLI overrides (dotted key -> raw text, e.g. "n_t" -> "100"
+    or "loss.eps_t" -> "0.5") set in its JSON document, read as the type
+    its field declares.  The document is read back once, so the result is
+    validated as a whole, whatever the order of the keys."""
+    d = config.to_json_dict()
+    grouped = {k: d[block] for block, keys in BLOCKS.items() for k in keys}
+    for key, raw in overrides.items():
+        part, _, name = key.rpartition(".")
+        if part in ("loss", "model") and name in d[part]:
+            cls, doc = (LossWeights if part == "loss" else ModelSpec), d[part]
+        elif key in SCALARS:
+            cls, doc = RunConfig, grouped.get(key, d)
+        else:
+            raise ValueError(f"unknown override key {key!r}")
+        doc[name] = typing.get_type_hints(cls)[name](raw)
+    return RunConfig.from_json_dict(d)

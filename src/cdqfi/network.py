@@ -4,7 +4,9 @@ One branch maps the time coordinate to the unconstrained schedule scalar
 (with a forward tangent supplying its exact time derivative); the second,
 deeper branch emits one gauge-potential coefficient per retained basis
 string.  SiLU on hidden layers, linear outputs, Xavier-uniform init from a
-counter-based generator keyed by (seed, tensor index).
+counter-based generator keyed by (seed, tensor index).  Each branch is
+evaluated in numpy and enters the tape as one node with a closed-form
+reverse rule (`branch_node`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, custom_node
 
 
 @dataclass(frozen=True)
@@ -67,48 +69,61 @@ def as_leaves(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: Tensor.leaf(value) for name, value in params.items()}
 
 
-def _silu_prime(pre: Tensor) -> Tensor:
-    s = pre.sigmoid()
-    return s * (1.0 + pre - pre * s)
+def branch_node(leaves: dict[str, Tensor], shape: NetworkShape, branch: str,
+                t_col, tangent: bool = False) -> Tensor:
+    """One branch at a column of times as one tape node over its W/b leaves:
+    the output rows, with du/dt stacked under them if `tangent`.  The
+    forward uses a per-operator tape's expressions, so its bits are theirs;
+    the reverse rule is closed form.  Through each SiLU, g_pre = g s' +
+    g_tau tau_pre s'' and g_tau_pre = g_tau s', with s' = s(1 + x - xs) and
+    s'' = s(1 - s)(2 + x(1 - 2s)); at each affine map,
+    g_W = x^T g_pre + tau^T g_tau_pre and g_b = sum g_pre."""
+    parents = [leaves[k] for k in shape.param_shapes() if k.startswith(branch + ".")]
+    layers = [(w.data, b.data) for w, b in zip(parents[::2], parents[1::2])]
+    x = np.asarray(t_col, dtype=float).reshape(-1, 1)
+    tau = np.ones(x.shape) if tangent else None
+    saved, act = [], None  # per layer: inputs x and tau, and the SiLU that made x
+    for i, (w, b) in enumerate(layers):
+        saved.append((x, tau, act))
+        pre = x @ w + b
+        tau_pre = tau @ w if tangent else None
+        if i < len(layers) - 1:
+            s = 1.0 / (1.0 + np.exp(-pre))
+            act = (pre, s, tau_pre)
+            x = pre * s
+            tau = s * (1.0 + pre - pre * s) * tau_pre if tangent else None
+
+    def vjp(g_out):
+        g, g_tau = np.split(g_out, 2) if tangent else (g_out, None)
+        grads = []
+        for (x_in, tau_in, act), (w, _) in zip(saved[::-1], layers[::-1]):
+            g_w = x_in.T @ g + (tau_in.T @ g_tau if tangent else 0.0)
+            grads = [g_w, g.sum(axis=0), *grads]
+            if act is None:
+                return grads
+            pre, s, tau_pre = act
+            s1 = s * (1.0 + pre - pre * s)
+            g = (g @ w.T) * s1
+            if tangent:
+                g_tau = g_tau @ w.T
+                g += g_tau * tau_pre * (s * (1.0 - s) * (2.0 + pre * (1.0 - 2.0 * s)))
+                g_tau *= s1
+
+    return custom_node(np.concatenate([pre, tau_pre]) if tangent else pre, parents, vjp)
 
 
 def forward_lambda(
     leaves: dict[str, Tensor], shape: NetworkShape, t_col
 ) -> tuple[Tensor, Tensor]:
-    """Schedule branch: (u, du/dt) at a column of times, both on the tape.
-
-    The tangent is propagated alongside the forward pass (scalar input, so
-    one directional derivative is the full input Jacobian).
-    """
-    if not isinstance(t_col, Tensor):
-        t_col = Tensor.const(np.asarray(t_col, dtype=float).reshape(-1, 1))
-    x = t_col
-    tau = Tensor.const(np.ones(t_col.shape))
-    n_layers = len(shape.layer_dims("lam"))
-    for i in range(n_layers):
-        w, b = leaves[f"lam.W{i}"], leaves[f"lam.b{i}"]
-        pre = x @ w + b
-        tau = tau @ w
-        if i < n_layers - 1:
-            tau = _silu_prime(pre) * tau
-            x = pre.silu()
-        else:
-            x = pre
-    return x, tau
+    """Schedule branch: (u, du/dt) at a column of times, both on the tape."""
+    out = branch_node(leaves, shape, "lam", t_col, tangent=True)
+    n = out.shape[0] // 2
+    return out[:n], out[n:]
 
 
 def forward_agp(leaves: dict[str, Tensor], shape: NetworkShape, t_col) -> Tensor:
     """Gauge-potential branch: coefficient rows (n_times, agp_out)."""
-    if not isinstance(t_col, Tensor):
-        t_col = Tensor.const(np.asarray(t_col, dtype=float).reshape(-1, 1))
-    x = t_col
-    n_layers = len(shape.layer_dims("agp"))
-    for i in range(n_layers):
-        w, b = leaves[f"agp.W{i}"], leaves[f"agp.b{i}"]
-        x = x @ w + b
-        if i < n_layers - 1:
-            x = x.silu()
-    return x
+    return branch_node(leaves, shape, "agp", t_col)
 
 
 class NonFiniteGradient(RuntimeError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cdqfi.config import RunConfig, apply_override
+from cdqfi.config import RunConfig, apply_overrides
 from cdqfi.models import ModelSpec
 from cdqfi.physloss import LossWeights
 
@@ -21,7 +21,16 @@ class TestValidation:
             with pytest.raises(ValueError, match="at least 1"):
                 make_config(n_w=n_w)
             with pytest.raises(ValueError, match="at least 1"):
-                apply_override(make_config(), "n_w", str(n_w))
+                apply_overrides(make_config(), {"n_w": str(n_w)})
+
+    def test_grid_needs_three_points(self):
+        # evaluation takes central differences of the states in time
+        for n_t in (2, 1, 0):
+            with pytest.raises(ValueError, match=f"n_t={n_t} must be at least 3"):
+                make_config(n_t=n_t, n_w=1)
+        with pytest.raises(ValueError, match="n_t=2 must be at least 3"):
+            apply_overrides(make_config(), {"n_w": "2", "n_t": "2"})
+        assert make_config(n_t=3, n_w=3).n_t == 3
 
     def test_locality_bounds(self):
         with pytest.raises(ValueError):
@@ -41,9 +50,9 @@ class TestValidation:
             with pytest.raises(ValueError, match=name):
                 LossWeights(**{name: value})
             with pytest.raises(ValueError, match=name):
-                apply_override(make_config(), f"loss.{name}", str(value))
+                apply_overrides(make_config(), {f"loss.{name}": str(value)})
         # zero switches a term off, as the stationarity-only reference does
-        cfg = apply_override(make_config(), f"loss.{name}", "0")
+        cfg = apply_overrides(make_config(), {f"loss.{name}": "0"})
         assert getattr(cfg.weights, name) == 0.0
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -51,14 +60,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="lr="):
             make_config(lr=float(value))
         with pytest.raises(ValueError, match="lr="):
-            apply_override(make_config(), "lr", value)
+            apply_overrides(make_config(), {"lr": value})
 
     @pytest.mark.parametrize("name, value", [("h", "inf"), ("omega", "nan")])
     def test_model_field_finite(self, name, value):
         with pytest.raises(ValueError, match=f"model {name}="):
             ModelSpec("nearest-neighbor", 2, **{name: float(value)})
         with pytest.raises(ValueError, match=f"model {name}="):
-            apply_override(make_config(), f"model.{name}", value)
+            apply_overrides(make_config(), {f"model.{name}": value})
 
     @pytest.mark.parametrize("name", ["lambda_hidden", "agp_hidden"])
     @pytest.mark.parametrize("width", [0, -3])
@@ -157,23 +166,33 @@ class TestHash:
 
 class TestOverrides:
     def test_scalar(self):
-        cfg = apply_override(make_config(), "epochs", "77")
+        cfg = apply_overrides(make_config(), {"epochs": "77"})
         assert cfg.epochs == 77
 
     def test_loss_field(self):
-        cfg = apply_override(make_config(), "loss.eps_t", "0.5")
+        cfg = apply_overrides(make_config(), {"loss.eps_t": "0.5"})
         assert cfg.weights.eps_t == 0.5
         assert cfg.weights.w_el == 1e3
 
     def test_model_field(self):
-        cfg = apply_override(make_config(), "model.family", "trapped-ions")
+        cfg = apply_overrides(make_config(), {"model.family": "trapped-ions"})
         assert cfg.model.family == "van-der-waals"
-        cfg = apply_override(make_config(), "model.q", "3")
+        cfg = apply_overrides(make_config(), {"model.q": "3"})
         assert cfg.model.q == 3
+
+    @pytest.mark.parametrize("order", [["n_t", "n_w"], ["n_w", "n_t"]])
+    def test_validated_once_after_every_key(self, order):
+        # n_t=100 fails against the default n_w=16, and n_w=10 against n_t=256
+        raw = {"n_t": "100", "n_w": "10"}
+        cfg = apply_overrides(make_config(), {k: raw[k] for k in order})
+        assert (cfg.n_t, cfg.n_w) == (100, 10)
+        # so a model may grow after the basis that needs it
+        cfg = apply_overrides(make_config(), {"basis_k": "3", "model.q": "3"})
+        assert (cfg.basis_k, cfg.model.q) == (3, 3)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
-            apply_override(make_config(), "turbo", "on")
+            apply_overrides(make_config(), {"turbo": "on"})
 
     def test_delta_omega_scales_with_omega(self):
         cfg = make_config(model=ModelSpec("nearest-neighbor", 2, omega=2.0))

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from cdqfi.autodiff import backward
+from cdqfi.autodiff import Tensor, backward
 from cdqfi.network import (
     AdamState,
     NetworkShape,
     NonFiniteGradient,
     as_leaves,
+    branch_node,
     forward_agp,
     forward_lambda,
     init_params,
@@ -126,6 +127,54 @@ class TestForward:
 
         fd = (value(d) - value(-d)) / (2 * d)
         np.testing.assert_allclose(leaves[name].grad[idx], fd, rtol=1e-5, atol=1e-10)
+
+
+class TestBranchNode:
+    SHAPE = NetworkShape(3, (4, 4), (5, 5))
+    TIMES = np.array([0.05, 0.3, 0.55, 0.8, 1.0])
+
+    def random_params(self, seed):
+        # nonzero biases and weights of order one keep every SiLU off its origin
+        rng = np.random.default_rng(seed)
+        return {k: 0.8 * rng.standard_normal(s) for k, s in self.SHAPE.param_shapes().items()}
+
+    def loss(self, leaves):
+        """Weighs u, du/dt and the gauge-potential rows unevenly, so the
+        tangent's cotangent reaches every layer through SiLU''."""
+        u, du = forward_lambda(leaves, self.SHAPE, self.TIMES)
+        a = forward_agp(leaves, self.SHAPE, self.TIMES)
+        ramp = self.TIMES.reshape(-1, 1) + 0.5
+        return (u * ramp).sum() + (du * du * ramp).sum() + ((a * a).sum(axis=0) * a[0]).sum()
+
+    def test_every_parameter_matches_finite_differences(self):
+        params = self.random_params(2)
+        leaves = as_leaves(params)
+        backward(self.loss(leaves))
+        d = 1e-6
+        for name, value in params.items():
+            fd = np.empty_like(value)
+            for idx in np.ndindex(value.shape):
+                probes = []
+                for step in (d, -d):
+                    p = {k: v.copy() for k, v in params.items()}
+                    p[name][idx] += step
+                    probes.append(float(self.loss(as_leaves(p)).data))
+                fd[idx] = (probes[0] - probes[1]) / (2 * d)
+            np.testing.assert_allclose(leaves[name].grad, fd, rtol=1e-6, atol=1e-8,
+                                       err_msg=name)
+
+    def test_constant_leaves_keep_no_rule(self):
+        # evaluation's path: the same values, and nothing for backward to hold
+        params = self.random_params(3)
+        consts = {k: Tensor.const(v) for k, v in params.items()}
+        for tangent, branch in ((True, "lam"), (False, "agp")):
+            node = branch_node(consts, self.SHAPE, branch, self.TIMES, tangent)
+            assert not node.needs and node._backward is None and node._prev == ()
+            taped = branch_node(as_leaves(params), self.SHAPE, branch, self.TIMES, tangent)
+            assert taped.needs and np.array_equal(node.data, taped.data)
+        u, du = forward_lambda(consts, self.SHAPE, self.TIMES)
+        assert u._backward is None and du._backward is None
+        assert u.shape == du.shape == (len(self.TIMES), 1)
 
 
 class TestOptimizer:
