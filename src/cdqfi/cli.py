@@ -18,15 +18,20 @@ def default_config() -> RunConfig:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config) if args.config else default_config()
+    """The run's config; a value it rejects ends the program with a one-line
+    message on stderr and exit status 1."""
     for ov in args.override or []:
         if "=" not in ov:
             raise SystemExit(f"override {ov!r} is not key=value")
-    cfg = apply_overrides(cfg, dict(ov.split("=", 1) for ov in args.override or []))
-    if args.seed is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
-    if args.out is not None:
-        cfg = cfg.with_overrides(out_dir=str(args.out))
+    try:
+        cfg = RunConfig.load(args.config) if args.config else default_config()
+        cfg = apply_overrides(cfg, dict(ov.split("=", 1) for ov in args.override or []))
+        if args.seed is not None:
+            cfg = cfg.with_overrides(seed=args.seed)
+        if args.out is not None:
+            cfg = cfg.with_overrides(out_dir=str(args.out))
+    except ValueError as err:
+        raise SystemExit(f"config error: {err}") from None
     return cfg
 
 

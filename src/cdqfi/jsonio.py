@@ -5,13 +5,15 @@ key, a missing required one or a value of the wrong JSON type raises a
 `ValueError` that names the key.  `encode_array` and `decode_array` store a
 float array as its shape and the base64 of its little-endian float64 bytes,
 so every bit pattern (-0.0, inf, NaN payloads, subnormals) survives and
-decoding parses no decimal text.
+decoding parses no decimal text.  `dumps_indented` writes a flat report
+as `json.dumps(d, indent=2)` would, at the speed of json's C encoder.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
+import json
 import math
 import typing
 
@@ -73,6 +75,23 @@ def json_fields(cls, d, what: str, names=None) -> dict:
                 raise ValueError(f"{what} key {k!r} is out of float range") from None
         kw[k] = value
     return kw
+
+
+_FLAT = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def dumps_indented(d: dict) -> str:
+    """`json.dumps(d, indent=2)` for a non-empty object whose values are
+    scalars or lists of scalars.  Any `indent` selects json's pure-Python
+    encoder, so each value goes through the C encoder instead, with the
+    item separator that indentation puts between list entries."""
+    items = []
+    for key, value in d.items():
+        text = _FLAT.encode(value)
+        if isinstance(value, list) and value:
+            text = "[\n    " + text[1:-1] + "\n  ]"
+        items.append(f"{_FLAT.encode(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def encode_array(a: np.ndarray) -> dict:

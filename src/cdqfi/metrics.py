@@ -33,34 +33,34 @@ class ExtremalPair:
         return self.val_max - self.val_min
 
 
-def _phased(vec: np.ndarray) -> np.ndarray:
-    """Copy of a unit vector with its largest-magnitude component (lowest
-    index on ties) made exactly real and positive, so the eigenvector is
-    reproducible bit-for-bit across runs of the same build."""
-    idx = int(np.argmax(np.abs(vec)))
-    mag = abs(vec[idx])
-    out = vec * (np.conj(vec[idx]) / mag)
-    out[idx] = mag
+def _phased(vecs: np.ndarray) -> np.ndarray:
+    """Copy of (..., d) unit vectors with the largest-magnitude component of
+    each (lowest index on ties) made exactly real and positive, so the
+    eigenvectors are reproducible bit-for-bit across runs of the same build."""
+    idx = np.argmax(np.abs(vecs), axis=-1)[..., None]
+    lead = np.take_along_axis(vecs, idx, axis=-1)
+    # the scalar abs() of a complex entry is this hypot; the array np.abs
+    # loop can differ from it in the last bit
+    mag = np.hypot(lead.real, lead.imag)
+    out = vecs * (np.conj(lead) / mag)
+    np.put_along_axis(out, idx, mag, axis=-1)
     return out
 
 
 def extremal_pairs(mats: np.ndarray, tol: float = DEGENERACY_TOL) -> list[ExtremalPair]:
     """Extremal eigenpairs of every matrix in a (n, d, d) Hermitian stack,
-    from one batched eigensolve."""
+    from one batched eigensolve and one batched phasing."""
     vals, vecs = np.linalg.eigh(np.asarray(mats, dtype=np.complex128))
     if vals.shape[-1] > 1:
         degenerate = (vals[:, 1] - vals[:, 0] < tol) | (vals[:, -1] - vals[:, -2] < tol)
     else:
         degenerate = np.ones(len(vals), dtype=bool)
+    ends = _phased(np.stack([vecs[..., 0], vecs[..., -1]], axis=-2))  # (n, 2, d)
     return [
-        ExtremalPair(
-            val_min=float(v[0]),
-            val_max=float(v[-1]),
-            vec_min=_phased(u[:, 0]),
-            vec_max=_phased(u[:, -1]),
-            degenerate=bool(deg),
+        ExtremalPair(val_min=lo, val_max=hi, vec_min=u[0], vec_max=u[1], degenerate=deg)
+        for lo, hi, u, deg in zip(
+            vals[:, 0].tolist(), vals[:, -1].tolist(), ends, degenerate.tolist()
         )
-        for v, u, deg in zip(vals, vecs, degenerate)
     ]
 
 

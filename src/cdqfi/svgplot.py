@@ -14,6 +14,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _points(sx, sy, x: np.ndarray, y: np.ndarray) -> str:
+    """Polyline coordinates, each map applied to a whole array at once."""
+    return " ".join(
+        f"{px:.2f},{py:.2f}" for px, py in zip(sx(x).tolist(), sy(y).tolist())
+    )
+
+
 def _ticks(lo: float, hi: float, log: bool) -> np.ndarray:
     if log:
         lo_e = int(np.floor(np.log10(lo)))
@@ -120,9 +127,7 @@ def line_chart(
     )
     for i, s in enumerate(clean):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s["x"], s["y"])
-        )
+        pts = _points(sx, sy, s["x"], s["y"])
         dash = ' stroke-dasharray="6,4"' if s.get("dashed") else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .autodiff import BilinearScatter, Tensor, backward, custom_node
 from .config import RunConfig
-from .jsonio import decode_array, encode_array
+from .jsonio import decode_array, dumps_indented, encode_array
 from .magnus import (
     SequentialResult,
     TimeGrid,
@@ -646,6 +646,16 @@ def evaluate_protocol(
     return report, traces
 
 
+def _write_csv(path, traces: dict, names: tuple):
+    """One row per grid time: t, then the named traces, each to 17
+    significant digits."""
+    cols = [np.asarray(traces[k]).tolist() for k in ("times", *names)]
+    row = ",".join(["{:.17g}"] * len(cols)) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(["t", *names]) + "\n")
+        f.write("".join(row.format(*vals) for vals in zip(*cols)))
+
+
 def write_evaluation_artifacts(out_dir, report: MetricsReport, traces: dict) -> dict:
     """Emit the metrics JSON, trace CSVs, and SVG plots; returns the file map."""
     from .svgplot import line_chart
@@ -654,28 +664,15 @@ def write_evaluation_artifacts(out_dir, report: MetricsReport, traces: dict) -> 
     out.mkdir(parents=True, exist_ok=True)
     files = {}
     with open(out / "metrics.json", "w") as f:
-        json.dump(report.to_json_dict(), f, indent=2)
-        f.write("\n")
+        f.write(dumps_indented(report.to_json_dict()) + "\n")
     files["metrics"] = "metrics.json"
 
     t = traces["times"]
-    with open(out / "schedule.csv", "w") as f:
-        f.write("t,lambda,dlambda_dt\n")
-        for i in range(len(t)):
-            f.write(
-                f"{t[i]:.17g},{traces['lambda'][i]:.17g},{traces['dlambda_dt'][i]:.17g}\n"
-            )
+    _write_csv(out / "schedule.csv", traces, ("lambda", "dlambda_dt"))
     files["schedule_csv"] = "schedule.csv"
-
-    with open(out / "traces.csv", "w") as f:
-        f.write("t,p_ext,mismatch_control,mismatch_sensitivity,mismatch_total\n")
-        for i in range(len(t)):
-            f.write(
-                f"{t[i]:.17g},{traces['p_ext'][i]:.17g},"
-                f"{traces['mismatch_control'][i]:.17g},"
-                f"{traces['mismatch_sensitivity'][i]:.17g},"
-                f"{traces['mismatch_total'][i]:.17g}\n"
-            )
+    _write_csv(out / "traces.csv", traces, (
+        "p_ext", "mismatch_control", "mismatch_sensitivity", "mismatch_total"
+    ))
     files["traces_csv"] = "traces.csv"
 
     line_chart(

@@ -1,5 +1,8 @@
 """Reference implementations that tests compare the program against."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from cdqfi.metrics import qfi_from_states
@@ -115,3 +118,50 @@ def extremal_subspace_trace_loop(states, pairs) -> np.ndarray:
             + np.abs(np.vdot(pair.vec_max, psi)) ** 2
         )
     return out
+
+
+def phased_loop(vecs: np.ndarray) -> np.ndarray:
+    """`metrics._phased`, one (d,) vector at a time."""
+    out = np.empty_like(vecs)
+    for i in np.ndindex(vecs.shape[:-1]):
+        vec = vecs[i]
+        idx = int(np.argmax(np.abs(vec)))
+        mag = abs(vec[idx])
+        phased = vec * (np.conj(vec[idx]) / mag)
+        phased[idx] = mag
+        out[i] = phased
+    return out
+
+
+def write_metrics_json_loop(path, report) -> None:
+    """`metrics.json` through json's indenting (pure-Python) encoder."""
+    with open(path, "w") as f:
+        json.dump(report.to_json_dict(), f, indent=2)
+        f.write("\n")
+
+
+def write_trace_csvs_loop(out_dir, traces: dict) -> None:
+    """`schedule.csv` and `traces.csv`, one f-string per row on indexed
+    numpy scalars."""
+    out = Path(out_dir)
+    t = traces["times"]
+    with open(out / "schedule.csv", "w") as f:
+        f.write("t,lambda,dlambda_dt\n")
+        for i in range(len(t)):
+            f.write(
+                f"{t[i]:.17g},{traces['lambda'][i]:.17g},{traces['dlambda_dt'][i]:.17g}\n"
+            )
+    with open(out / "traces.csv", "w") as f:
+        f.write("t,p_ext,mismatch_control,mismatch_sensitivity,mismatch_total\n")
+        for i in range(len(t)):
+            f.write(
+                f"{t[i]:.17g},{traces['p_ext'][i]:.17g},"
+                f"{traces['mismatch_control'][i]:.17g},"
+                f"{traces['mismatch_sensitivity'][i]:.17g},"
+                f"{traces['mismatch_total'][i]:.17g}\n"
+            )
+
+
+def polyline_points_loop(sx, sy, x, y) -> str:
+    """`svgplot._points`, mapping one point at a time."""
+    return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))

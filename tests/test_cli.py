@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, overrides, artifact emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cdqfi
 from cdqfi.cli import main
 from cdqfi.config import RunConfig
 from cdqfi.models import ModelSpec
@@ -140,5 +145,20 @@ def test_repeats_below_one_rejected(tiny_config_path, tmp_path, capsys, command,
 
 
 def test_bad_override_rejected(tiny_config_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit, match="unknown override key 'warp'"):
         main(["train", "--config", str(tiny_config_path), "--override", "warp=9"])
+
+
+@pytest.mark.parametrize("override", ["n_t=2", "warp=9", "model.q=x"])
+def test_config_error_exits_on_one_line(tmp_path, override):
+    env = dict(os.environ, PYTHONPATH=str(Path(cdqfi.__file__).resolve().parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-m", "cdqfi.cli", "train", "--override", override,
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode != 0
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "run").exists()

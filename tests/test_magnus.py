@@ -1,14 +1,21 @@
 """Magnus propagation against closed forms, scipy's expm, and the sequential oracle."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cdqfi.magnus import (
+    TAYLOR_TERMS,
     TimeGrid,
     WindowedEvolution,
     WindowPlan,
+    _expm_vjp,
+    _max_frobenius,
     _omega_parts,
+    _series,
+    _taylor_plan,
     evolve_sequential,
     expm_taylor,
     truncation_error_bound,
@@ -143,6 +150,86 @@ class TestExpm:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             expm_taylor(np.array([[np.nan, 0], [0, 0]], dtype=complex))
+
+
+# the truncation bound of 14 terms at scaled norm 1/2, about 2.3e-17
+FULL_DEGREE_BOUND = 0.5**15 / math.factorial(15)
+
+
+def anti_hermitian(d, norm, rng):
+    """A random anti-Hermitian (d, d) matrix of the given Frobenius norm."""
+    h = random_hermitian_stack(1, d, rng)[0]
+    return -1j * h * (norm / np.linalg.norm(h))
+
+
+class TestTaylorPlan:
+    def test_degree_meets_the_full_degree_bound(self):
+        thetas = np.linspace(0.0, 0.5, 1001)
+        degrees = []
+        for theta in thetas:
+            squarings, k = _taylor_plan(theta)
+            assert squarings == 0
+            assert 1 <= k <= TAYLOR_TERMS
+            assert theta ** (k + 1) / math.factorial(k + 1) <= FULL_DEGREE_BOUND
+            # the fewest such terms
+            assert k == 1 or theta**k / math.factorial(k) > FULL_DEGREE_BOUND
+            degrees.append(k)
+        assert np.all(np.diff(degrees) >= 0)
+        assert degrees[-1] == TAYLOR_TERMS
+        assert _taylor_plan(0.0125)[1] < _taylor_plan(0.2)[1] < TAYLOR_TERMS
+
+    @pytest.mark.parametrize("norm", [0.6, 1.0, 3.0, 100.0])
+    def test_squarings_scale_to_at_most_one_half(self, norm):
+        squarings, k = _taylor_plan(norm)
+        theta = norm * 0.5**squarings
+        assert 0.25 < theta <= 0.5
+        assert theta ** (k + 1) / math.factorial(k + 1) <= FULL_DEGREE_BOUND
+
+    def test_batch_follows_its_largest_member(self):
+        rng = np.random.default_rng(31)
+        batch = np.stack(
+            [anti_hermitian(4, 0.01, rng) for _ in range(5)] + [anti_hermitian(4, 3.0, rng)]
+        )
+        plan = _taylor_plan(_max_frobenius(batch))
+        assert plan == _taylor_plan(_max_frobenius(batch[-1:]))
+        assert plan != _taylor_plan(_max_frobenius(batch[:-1]))
+        assert len(list(_series(batch))) == sum(plan)
+        got = expm_taylor(batch)
+        for x, u in zip(batch, got):
+            want = scipy.linalg.expm(x)
+            assert np.linalg.norm(u - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("norm", [1e-3, 3e-3, 0.0125, 0.037, 0.05])
+    def test_step_norms_match_scipy(self, norm):
+        # the norms of the sequential oracle's steps, with 6 to 8 terms
+        rng = np.random.default_rng(int(norm * 1e4))
+        for d in (4, 16):
+            x = np.stack([anti_hermitian(d, norm, rng) for _ in range(8)])
+            assert _taylor_plan(_max_frobenius(x))[1] < TAYLOR_TERMS
+            got = expm_taylor(x)
+            for xi, u in zip(x, got):
+                want = scipy.linalg.expm(xi)
+                assert np.linalg.norm(u - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("norm", [0.05, 0.6])
+    def test_vjp_below_full_degree_matches_central_differences(self, norm):
+        # the reverse pass reads the forward's plan: fewer than 14 terms,
+        # and one squaring at norm 0.6
+        rng = np.random.default_rng(32)
+        x = np.stack([anti_hermitian(4, norm, rng) for _ in range(3)])
+        squarings, k = _taylor_plan(_max_frobenius(x))
+        assert k < TAYLOR_TERMS and squarings == (norm > 0.5)
+        c = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        direction = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+
+        def loss(xx):  # Re <c, exp(xx)>, whose cotangent is c
+            return float(np.sum(c.conj() * expm_taylor(xx)).real)
+
+        g_x = _expm_vjp(x, c, list(_series(x)))
+        ana = float(np.sum(g_x.conj() * direction).real)
+        eps = 1e-6
+        fd = (loss(x + eps * direction) - loss(x - eps * direction)) / (2 * eps)
+        np.testing.assert_allclose(ana, fd, rtol=1e-8)
 
 
 class TestEvolution:

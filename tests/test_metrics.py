@@ -7,6 +7,7 @@ from cdqfi.config import RunConfig
 from cdqfi.magnus import TimeGrid, evolve_sequential
 from cdqfi.metrics import (
     ExtremalPair,
+    _phased,
     extremal_pair,
     extremal_pairs,
     extremal_subspace_trace,
@@ -24,6 +25,7 @@ from cdqfi.schedule import reference_schedule
 from cdqfi.trainer import build_context, dense_rows
 from oracles import (
     extremal_subspace_trace_loop,
+    phased_loop,
     qfi_central_diff,
     qfi_via_generator_loop,
     symmetry_mismatch_loop,
@@ -163,6 +165,20 @@ class TestExtremalPair:
         pair = extremal_pair(m)
         assert pair.degenerate
         np.testing.assert_allclose(np.vdot(pair.vec_min, pair.vec_max), 0.0, atol=1e-12)
+
+
+class TestBatchedPhasing:
+    def test_matches_per_vector_reference_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        vecs = rng.standard_normal((40, 2, 4)) + 1j * rng.standard_normal((40, 2, 4))
+        vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+        vecs[0, 0] = [0.5j, -0.5, 0.5, 0.5j]  # four-way tie: index 0 wins
+        vecs[0, 1] = [-0.8, 0.6, 0.0, 0.0]  # largest entry negative real
+        got = _phased(vecs)
+        assert np.array_equal(got.view(np.uint64), phased_loop(vecs).view(np.uint64))
+        assert got.shape == vecs.shape
+        np.testing.assert_array_equal(got[0, 0], [0.5, 0.5j, -0.5j, 0.5])
+        np.testing.assert_array_equal(got[0, 1], [0.8, -0.6, 0.0, 0.0])
 
 
 class TestGapSeries:

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import cdqfi
+from cdqfi import svgplot
 from cdqfi.autodiff import Tensor, backward
 from cdqfi.config import RunConfig
 from cdqfi.magnus import WindowedEvolution
-from cdqfi.metrics import fidelity_block
+from cdqfi.metrics import MetricsReport, fidelity_block
 from cdqfi.models import ModelSpec
 from cdqfi.physloss import (
     LossWeights,
@@ -43,9 +44,16 @@ from cdqfi.trainer import (
     row_projection,
     save_checkpoint,
     train,
+    write_evaluation_artifacts,
 )
 from cdqfi.network import AdamState, init_params
-from oracles import commutator_coeffs, el_residual_coeffs
+from oracles import (
+    commutator_coeffs,
+    el_residual_coeffs,
+    polyline_points_loop,
+    write_metrics_json_loop,
+    write_trace_csvs_loop,
+)
 
 
 def tiny_config(**kw):
@@ -791,6 +799,57 @@ class TestEvaluate:
         params = init_params(ctx.shape, 3)
         report, _ = evaluate_protocol(cfg, params, ctx=ctx)
         assert abs(report.qfi_generator - report.f_q) / report.f_q <= 1e-3
+
+
+def _special_report():
+    """A report and traces holding None (eta undefined), bools, NaN, +-inf
+    and an empty list; each chart keeps some finite points."""
+    nan, inf = float("nan"), float("inf")
+    times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    report = MetricsReport(
+        eta=None, eta_windowed=None, f_q=inf, f_q_max=0.0, fidelity=nan,
+        p_min=-inf, p_max=1e-300, cos_dphi=-0.0, balance=0.1,
+        schr_residual=0.0, schr_degenerate=True, unitarity_error=1.1e-16,
+        eps_eta=None, qfi_generator=-2.5, extremal_degenerate=False,
+        eta_defined=False, times=times.tolist(), p_ext_trace=[],
+        p_ext_degenerate=[True, False, True, False, True],
+        mismatch_control=[nan, inf, -inf, 0.0, 1.0],
+        mismatch_sensitivity=[0.0] * 5, mismatch_total=[0.1, nan, 0.3, inf, 0.5],
+    )
+    traces = {
+        "times": times,
+        "lambda": np.array([0.0, nan, 0.5, 0.9, 1.0]),
+        "dlambda_dt": np.array([inf, 1.5, -inf, 0.25, 0.0]),
+        "p_ext": np.array([1.0, 0.999, nan, 1e-17, 0.5]),
+        "mismatch_control": np.asarray(report.mismatch_control),
+        "mismatch_sensitivity": np.asarray(report.mismatch_sensitivity),
+        "mismatch_total": np.asarray(report.mismatch_total),
+    }
+    return report, traces
+
+
+def _q2_report():
+    cfg = RunConfig(model=ModelSpec("nearest-neighbor", 2), basis_k=2)
+    ctx = build_context(cfg)
+    return evaluate_protocol(cfg, init_params(ctx.shape, 7), ctx=ctx)
+
+
+@pytest.mark.parametrize("make", [_special_report, _q2_report], ids=["special", "q2"])
+def test_artifact_bytes_match_the_loop_writers(make, tmp_path, monkeypatch):
+    # the loop writers: json's indenting encoder, one f-string per CSV row
+    # and the chart maps applied one polyline point at a time
+    report, traces = make()
+    new, old = tmp_path / "new", tmp_path / "old"
+    write_evaluation_artifacts(new, report, traces)
+    monkeypatch.setattr(svgplot, "_points", polyline_points_loop)
+    write_evaluation_artifacts(old, report, traces)
+    write_metrics_json_loop(old / "metrics.json", report)
+    write_trace_csvs_loop(old, traces)
+    names = sorted(p.name for p in new.iterdir())
+    assert names == sorted(p.name for p in old.iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
 
 
 class TestLossAssembly:
